@@ -1,28 +1,16 @@
-"""Wall-clock benchmark: the parallel trading engine vs serial.
+"""Wall-clock benchmark: the parallel sweep runner vs a serial sweep.
 
-Times one negotiation round's offer generation — every seller's
-``prepare_offers`` for the buyer's RFB — serially and through the
-:class:`~repro.parallel.OfferFarm` process pool, across worker counts,
-query widths (joins), and federation sizes (sites); the buyer's
-full-lattice parallel DP over 12/14/16-join searches; and the
-:func:`~repro.parallel.run_sweep` experiment runner over a job grid.
-Offers and plans are asserted byte-identical before any number is
-trusted.  Writes ``BENCH_parallel.json`` at the repository root.
+Times :func:`~repro.parallel.run_sweep` over a (joins x mode) grid of
+independent QT measurements, serially and on a process pool across
+worker counts.  Every parallel sweep must return exactly the serial
+measurements (plan cost, simulated time, messages, rendered plan) in
+job order before any number is trusted.  Writes ``BENCH_parallel.json``
+at the repository root and appends the best speedup to the bench
+history (recorded, not gated).
 
-The offer worlds use heavy replication/fragmentation so each seller
-holds a meaningful local DP — that is the regime the farm targets; with
-trivial per-seller work the fork/pickle overhead dominates and the
-serial path wins (which the farm's threshold-free design accepts:
-callers choose ``--workers``).  Buyer-DP worlds keep sellers cheap
-(IDP local optimizers) so the timer isolates the buyer's lattice
-search.  Every pool is warmed with :func:`~repro.parallel.warm_pool`
-before timing — the executor forks lazily, so a cold pool would bill
-worker spawn to the first measured round.
-
-Speedups depend on the host: the ≥2x offer-farm gate (8 joins/32
-sites) and the ≥3x buyer-DP gate (12 joins, 8 workers) are enforced
-only when the machine reports at least 4 CPUs; below that the numbers
-are recorded as measured.
+One untimed parallel sweep per worker count runs first: the executor
+forks its workers lazily, so a cold pool would bill process start-up
+to the first timed repeat.
 
 Run with::
 
@@ -32,194 +20,34 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import os
 import pathlib
 import time
 
-import repro.trading.commodity as commodity
 from repro.bench.envelope import bench_envelope, history
-from repro.bench.harness import build_world
-from repro.optimizer import IDPOptimizer
-from repro.parallel import (
-    OfferFarm,
-    SweepJob,
-    available_cpus,
-    run_sweep,
-    warm_pool,
-)
-from repro.trading import BuyerPlanGenerator, RequestForBids, SellerAgent
-from repro.workload import chain_query
+from repro.parallel import SweepJob, run_sweep
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_parallel.json"
 
 REPEATS = 3
-WORKER_COUNTS = (2, 4, 8)
-JOINS_CURVE = (4, 6, 8, 10)
-SITES_CURVE = (8, 16, 32, 64)
-BUYER_JOINS = (12, 14, 16)
-BUYER_REPEATS = 2
-# Heavy replication: each of the 32 sites holds fragments of many
-# relations, so a seller's local DP is real work, not microseconds.
-REPLICAS = 8
-FRAGMENTS = 6
-SPEEDUP_TARGET = 2.0
-BUYER_SPEEDUP_TARGET = 3.0
-MIN_CPUS_FOR_GATE = 4
+WORKER_COUNTS = (2, 4)
+SWEEP_JOINS = (3, 4, 5)
 
 
-def _heavy_world(sites: int, joins: int):
-    return build_world(
-        nodes=sites,
-        n_relations=joins + 1,
-        replicas=min(REPLICAS, sites - 2),
-        fragments=FRAGMENTS,
-        seed=7,
-    )
+def _signature(measurements):
+    return [
+        (m.optimizer, m.plan_cost, m.optimization_time, m.messages,
+         m.plan_explain)
+        for m in measurements
+    ]
 
 
-def _offer_round(world, rfb, workers: int) -> tuple[list[str], float]:
-    """One full offer-generation round; returns (describes, seconds).
-
-    ``workers == 1`` is the plain serial loop; otherwise the round runs
-    through the farm: prepare (fan out + gather) plus per-seller consume,
-    i.e. everything the parallel engine adds is inside the timer.
-    """
-    sellers = world.seller_agents(use_offer_cache=False)
-    commodity._offer_ids = itertools.count(1)
-    describes: list[str] = []
+def _timed(jobs, workers: int):
     start = time.perf_counter()
-    if workers == 1:
-        for node in sorted(sellers):
-            offers, _work = sellers[node].prepare_offers(rfb)
-            describes.extend(o.describe() for o in offers)
-    else:
-        farm = OfferFarm(workers)
-        prefetch = farm.prepare(sellers, rfb, exclude="client")
-        if prefetch is None:
-            raise SystemExit(f"farm refused round (workers={workers})")
-        for node in sorted(sellers):
-            batch = prefetch.consume(node, sellers[node], rfb)
-            offers, _work = batch
-            describes.extend(o.describe() for o in offers)
-        prefetch.discard()
-    return describes, time.perf_counter() - start
-
-
-def bench_offer_rounds(
-    sites: int, joins: int, worker_counts, repeats: int
-) -> dict:
-    """Best-of-*repeats* round times for serial and each worker count."""
-    world = _heavy_world(sites, joins)
-    query = chain_query(joins + 1, selection_cat=3)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-
-    serial_best = float("inf")
-    reference = None
-    for _ in range(repeats):
-        describes, elapsed = _offer_round(world, rfb, workers=1)
-        serial_best = min(serial_best, elapsed)
-        reference = describes
-
-    row = {
-        "case": f"offers-{joins}j-{sites}s",
-        "joins": joins,
-        "sites": sites,
-        "offers": len(reference),
-        "serial_s": serial_best,
-        "workers": {},
-    }
-    for workers in worker_counts:
-        warm_pool(workers)  # fork every worker before the clock starts
-        best = float("inf")
-        for _ in range(repeats):
-            describes, elapsed = _offer_round(world, rfb, workers)
-            assert describes == reference, (
-                f"parallel offers diverged (workers={workers}, "
-                f"joins={joins}, sites={sites})"
-            )
-            best = min(best, elapsed)
-        row["workers"][str(workers)] = {
-            "best_s": best,
-            "speedup": serial_best / best,
-        }
-    return row
-
-
-def bench_buyer_dp(joins: int, worker_counts, repeats: int) -> dict:
-    """The buyer's full-lattice DP, serial vs cost-balanced parallel.
-
-    One fixed offer set (cheap IDP seller optimizers keep its
-    generation off the critical path and under the seller DP's
-    relation limit), then the buyer's `dp`-mode plan generation is
-    timed across worker counts.  Plans are byte-compared (candidate
-    values + ``explain()`` strings + enumerated counts) against the
-    serial run before any speedup is reported.
-    """
-    commodity._offer_ids = itertools.count(1)
-    world = build_world(
-        nodes=6, n_relations=joins + 1, fragments=2, replicas=2, seed=7
-    )
-    query = chain_query(joins + 1)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    offers = []
-    for node in world.nodes:
-        if node == "client":
-            continue
-        agent = SellerAgent(
-            world.catalog.local(node),
-            world.builder,
-            optimizer=IDPOptimizer(world.builder),
-            use_offer_cache=False,
-        )
-        node_offers, _work = agent.prepare_offers(rfb)
-        offers.extend(node_offers)
-
-    def run(workers: int) -> tuple[tuple, float]:
-        generator = BuyerPlanGenerator(
-            world.builder, "client", mode="dp",
-            workers=workers, parallel_threshold=1,
-        )
-        start = time.perf_counter()
-        result = generator.generate(query, offers)
-        elapsed = time.perf_counter() - start
-        signature = (
-            result.enumerated,
-            tuple(
-                (c.value, c.plan.explain()) for c in result.candidates
-            ),
-        )
-        return signature, elapsed
-
-    serial_best = float("inf")
-    reference = None
-    for _ in range(repeats):
-        reference, elapsed = run(1)
-        serial_best = min(serial_best, elapsed)
-
-    row = {
-        "case": f"buyer-dp-{joins}j",
-        "joins": joins,
-        "offers": len(offers),
-        "enumerated": reference[0],
-        "serial_s": serial_best,
-        "workers": {},
-    }
-    for workers in worker_counts:
-        warm_pool(workers)
-        best = float("inf")
-        for _ in range(repeats):
-            signature, elapsed = run(workers)
-            assert signature == reference, (
-                f"buyer DP diverged (workers={workers}, joins={joins})"
-            )
-            best = min(best, elapsed)
-        row["workers"][str(workers)] = {
-            "best_s": best,
-            "speedup": serial_best / best,
-        }
-    return row
+    measurements = run_sweep(jobs, workers=workers)
+    return measurements, time.perf_counter() - start
 
 
 def bench_sweep(worker_counts, repeats: int, joins_list) -> dict:
@@ -236,20 +64,12 @@ def bench_sweep(worker_counts, repeats: int, joins_list) -> dict:
         for mode in ("dp", "idp")
     ]
 
-    def signature(measurements):
-        return [
-            (m.optimizer, m.plan_cost, m.optimization_time, m.messages,
-             m.plan_explain)
-            for m in measurements
-        ]
-
     serial_best = float("inf")
     reference = None
     for _ in range(repeats):
-        start = time.perf_counter()
-        measurements = run_sweep(jobs, workers=1)
-        serial_best = min(serial_best, time.perf_counter() - start)
-        reference = signature(measurements)
+        measurements, seconds = _timed(jobs, 1)
+        serial_best = min(serial_best, seconds)
+        reference = _signature(measurements)
 
     row = {
         "case": f"sweep-{len(jobs)}-jobs",
@@ -258,13 +78,12 @@ def bench_sweep(worker_counts, repeats: int, joins_list) -> dict:
         "workers": {},
     }
     for workers in worker_counts:
-        warm_pool(workers)
+        run_sweep(jobs, workers=workers)  # untimed: forks the workers
         best = float("inf")
         for _ in range(repeats):
-            start = time.perf_counter()
-            measurements = run_sweep(jobs, workers=workers)
-            best = min(best, time.perf_counter() - start)
-            assert signature(measurements) == reference, (
+            measurements, seconds = _timed(jobs, workers)
+            best = min(best, seconds)
+            assert _signature(measurements) == reference, (
                 f"sweep measurements diverged (workers={workers})"
             )
         row["workers"][str(workers)] = {
@@ -283,112 +102,46 @@ def main() -> None:
     args = parser.parse_args()
 
     repeats = 2 if args.quick else REPEATS
-    worker_counts = (2, 4) if args.quick else WORKER_COUNTS
-    joins_curve = (4, 8) if args.quick else JOINS_CURVE
-    sites_curve = (8, 32) if args.quick else SITES_CURVE
-    sweep_joins = (3, 4) if args.quick else (3, 4, 5)
-    buyer_joins = (12,) if args.quick else BUYER_JOINS
-    buyer_repeats = 1 if args.quick else BUYER_REPEATS
+    worker_counts = (2,) if args.quick else WORKER_COUNTS
+    joins = (3, 4) if args.quick else SWEEP_JOINS
 
-    cpus = available_cpus()
-    joins_rows = [
-        bench_offer_rounds(32, joins, worker_counts, repeats)
-        for joins in joins_curve
-    ]
-    sites_rows = [
-        bench_offer_rounds(sites, 8, worker_counts, repeats)
-        for sites in sites_curve
-        if sites != 32  # already measured in the joins curve
-    ]
-    buyer_rows = [
-        bench_buyer_dp(joins, worker_counts, buyer_repeats)
-        for joins in buyer_joins
-    ]
-    sweep_row = bench_sweep(worker_counts, repeats, sweep_joins)
-
-    eight_join = next(r for r in joins_rows if r["joins"] == 8)
-    accept_workers = "4" if "4" in eight_join["workers"] else str(
-        max(int(w) for w in eight_join["workers"])
+    sweep_row = bench_sweep(worker_counts, repeats, joins)
+    best_workers, best = max(
+        sweep_row["workers"].items(), key=lambda item: item[1]["speedup"]
     )
-    accept_speedup = eight_join["workers"][accept_workers]["speedup"]
-    gate_enforced = cpus >= MIN_CPUS_FOR_GATE
-
-    twelve_join = next(r for r in buyer_rows if r["joins"] == 12)
-    buyer_workers = str(max(int(w) for w in twelve_join["workers"]))
-    buyer_speedup = twelve_join["workers"][buyer_workers]["speedup"]
-    # The ≥3x buyer target is specified at 8 workers; quick runs cap at
-    # 4, so their gate is informational even on big hosts.
-    buyer_gate_enforced = gate_enforced and buyer_workers == "8"
 
     envelope = bench_envelope()
     payload = {
         **envelope,
         "description": (
-            "Wall-clock comparison: OfferFarm process-pool offer "
-            "generation and the parallel sweep runner vs the serial "
-            "paths (offers asserted byte-identical)."
+            "Wall-clock comparison: the parallel sweep runner vs a "
+            "serial sweep (measurements asserted identical)."
         ),
-        "cpus": cpus,
+        "cpus": os.cpu_count() or 1,
         "repeats_best_of": repeats,
         "quick": args.quick,
-        "world": {"replicas": REPLICAS, "fragments": FRAGMENTS},
-        "joins_curve": joins_rows,
-        "sites_curve": sites_rows,
-        "buyer_dp": buyer_rows,
         "sweep": sweep_row,
-        "eight_join_32_site": {
-            "workers": accept_workers,
-            "speedup": accept_speedup,
-            "target": SPEEDUP_TARGET,
-            "gate_enforced": gate_enforced,
-        },
-        "twelve_join_buyer": {
-            "workers": buyer_workers,
-            "speedup": buyer_speedup,
-            "target": BUYER_SPEEDUP_TARGET,
-            "gate_enforced": buyer_gate_enforced,
-        },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     history(REPO_ROOT).append(
         "parallel",
         {
-            "eight_join_speedup": accept_speedup,
-            "speedup_gate_enforced": gate_enforced,
-            "twelve_join_buyer_speedup": buyer_speedup,
-            "buyer_gate_enforced": buyer_gate_enforced,
+            "sweep_speedup": best["speedup"],
+            "sweep_workers": int(best_workers),
         },
         envelope=envelope,
     )
 
-    for row in joins_rows + sites_rows + buyer_rows + [sweep_row]:
-        parts = "  ".join(
-            f"w{workers} {entry['best_s'] * 1e3:8.1f} ms "
-            f"({entry['speedup']:4.2f}x)"
-            for workers, entry in row["workers"].items()
-        )
-        print(
-            f"{row['case']:>18}: serial {row['serial_s'] * 1e3:8.1f} ms  "
-            f"{parts}"
-        )
-    print(f"cpus={cpus}; wrote {OUTPUT}")
-    if gate_enforced and accept_speedup < SPEEDUP_TARGET:
-        raise SystemExit(
-            f"8-join/32-site speedup {accept_speedup:.2f}x "
-            f"(workers={accept_workers}) below the "
-            f"{SPEEDUP_TARGET:.0f}x target"
-        )
-    if buyer_gate_enforced and buyer_speedup < BUYER_SPEEDUP_TARGET:
-        raise SystemExit(
-            f"12-join buyer DP speedup {buyer_speedup:.2f}x "
-            f"(workers={buyer_workers}) below the "
-            f"{BUYER_SPEEDUP_TARGET:.0f}x target"
-        )
-    if not gate_enforced:
-        print(
-            f"note: {cpus} cpu(s) < {MIN_CPUS_FOR_GATE}; "
-            f"speedup gates recorded but not enforced"
-        )
+    parts = "  ".join(
+        f"w{workers} {entry['best_s'] * 1e3:8.1f} ms "
+        f"({entry['speedup']:4.2f}x)"
+        for workers, entry in sweep_row["workers"].items()
+    )
+    print(
+        f"{sweep_row['case']}: serial {sweep_row['serial_s'] * 1e3:8.1f} ms"
+        f"  {parts}"
+    )
+    print(f"cpus={payload['cpus']}; wrote {OUTPUT}")
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ __all__ = [
     "World",
     "Measurement",
     "build_world",
-    "set_parallel_defaults",
     "run_qt",
     "run_qt_faulty",
     "run_distdp",
@@ -63,27 +62,6 @@ __all__ = [
 ]
 
 BUYER = "client"
-
-#: Process-wide fallbacks for the parallel trading engine, consulted by
-#: :func:`run_qt` / :func:`run_qt_faulty` when a caller does not pass
-#: ``workers`` / ``parallel_threshold`` explicitly.  ``repro experiment
-#: --workers N`` sets these (via :func:`set_parallel_defaults`) when it
-#: runs a *single* experiment in-process, so the experiment's internal
-#: trades parallelize; the farmed multi-experiment path leaves them
-#: alone so worker processes never nest pools.  The byte-identical
-#: equivalence contract makes the setting unobservable in results.
-PARALLEL_DEFAULTS = {"workers": 1, "parallel_threshold": 512}
-
-
-def set_parallel_defaults(
-    workers: int | None = None, parallel_threshold: int | None = None
-) -> None:
-    """Set process-wide parallel engine fallbacks (see PARALLEL_DEFAULTS)."""
-    if workers is not None:
-        PARALLEL_DEFAULTS["workers"] = workers
-    if parallel_threshold is not None:
-        PARALLEL_DEFAULTS["parallel_threshold"] = parallel_threshold
-
 
 @dataclass
 class World:
@@ -178,7 +156,7 @@ class Measurement:
     renegotiations: int = 0
     degradation: float | None = None  # vs the fault-free reference cost
     # Rendered plan (``explain()``), when one was found.  The
-    # parallel-vs-serial equivalence suites compare it byte-for-byte.
+    # equivalence suites compare it byte-for-byte.
     plan_explain: str | None = None
 
     def row(self) -> list:
@@ -201,27 +179,16 @@ def run_qt(
     valuation=None,
     max_iterations: int = 6,
     subcontracting: bool = False,
-    workers: int | None = None,
-    parallel_threshold: int | None = None,
     tracer=None,
     **agent_kwargs,
 ) -> Measurement:
     """Run the QT optimizer over a fresh network; return its measurement.
 
-    ``workers > 1`` engages the parallel trading engine (offer farm +
-    full-lattice buyer DP, levels shipped once their estimated join
-    pairs reach *parallel_threshold*); results are byte-identical to
-    ``workers=1``.  Both parameters fall back to
-    :data:`PARALLEL_DEFAULTS` when ``None``.  Pass a
-    :class:`repro.obs.Tracer` as *tracer* to record the negotiation
-    (the trader wires it through every layer).
+    Pass a :class:`repro.obs.Tracer` as *tracer* to record the
+    negotiation (the trader wires it through every layer).
     """
     from repro.trading import Subcontractor
 
-    if workers is None:
-        workers = PARALLEL_DEFAULTS["workers"]
-    if parallel_threshold is None:
-        parallel_threshold = PARALLEL_DEFAULTS["parallel_threshold"]
     network = Network(world.model)
     if tracer is not None:
         network.attach_tracer(tracer)
@@ -232,20 +199,8 @@ def run_qt(
             agent.subcontractor.connect(
                 {m: peer for m, peer in sellers.items() if m != node}, network
             )
-    # The label must not depend on the worker count: parallel runs farm
-    # the default BiddingProtocol explicitly, but serial runs use the
-    # very same protocol implicitly, so only a caller-passed protocol
-    # may show up in the measurement name.
-    named_protocol = protocol
-    if workers > 1:
-        from repro.parallel import OfferFarm
-
-        protocol = (protocol or BiddingProtocol()).attach_farm(
-            OfferFarm(workers)
-        )
     plangen = BuyerPlanGenerator(
-        world.builder, BUYER, mode=mode, valuation=valuation,
-        workers=workers, parallel_threshold=parallel_threshold,
+        world.builder, BUYER, mode=mode, valuation=valuation
     )
     trader = QueryTrader(
         BUYER,
@@ -259,7 +214,7 @@ def run_qt(
     )
     result = trader.optimize(query)
     name = label or (
-        f"qt-{mode}" + (f"+{named_protocol.name}" if named_protocol else "")
+        f"qt-{mode}" + (f"+{protocol.name}" if protocol else "")
     )
     return Measurement(
         optimizer=name,
@@ -288,8 +243,6 @@ def run_qt_faulty(
     baseline_cost: float | None = None,
     policy: RenegotiationPolicy | None = None,
     max_iterations: int = 6,
-    workers: int | None = None,
-    parallel_threshold: int | None = None,
     tracer=None,
     **agent_kwargs,
 ) -> Measurement:
@@ -302,10 +255,6 @@ def run_qt_faulty(
     ``baseline_cost`` (the fault-free plan cost) to have the measurement
     report plan degradation.
     """
-    if workers is None:
-        workers = PARALLEL_DEFAULTS["workers"]
-    if parallel_threshold is None:
-        parallel_threshold = PARALLEL_DEFAULTS["parallel_threshold"]
     network = Network(world.model)
     if tracer is not None:
         network.attach_tracer(tracer)
@@ -315,14 +264,7 @@ def run_qt_faulty(
     protocol = BiddingProtocol(
         timeout=timeout, max_retries=max_retries, backoff=backoff
     )
-    if workers > 1:
-        from repro.parallel import OfferFarm
-
-        protocol.attach_farm(OfferFarm(workers))
-    plangen = BuyerPlanGenerator(
-        world.builder, BUYER, mode=mode,
-        workers=workers, parallel_threshold=parallel_threshold,
-    )
+    plangen = BuyerPlanGenerator(world.builder, BUYER, mode=mode)
     trader = QueryTrader(
         BUYER,
         sellers,

@@ -92,20 +92,6 @@ def _add_negotiation_args(parser: argparse.ArgumentParser) -> None:
         "--max-retries", type=int, default=2,
         help="re-issues of an all-silent round (with --fault-plan)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the parallel trading engine "
-             "(offer farm + full-lattice buyer DP); results are "
-             "byte-identical to --workers 1",
-    )
-    parser.add_argument(
-        "--parallel-threshold", type=int, default=512, metavar="PAIRS",
-        help="minimum estimated join pairs in a buyer DP lattice level "
-             "before it is shipped to the --workers pool; smaller "
-             "levels run in-process to dodge the IPC tax. Only "
-             "consulted when --workers > 1, and never changes results "
-             "— it only picks where each level runs (default 512)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,8 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--json", action="store_true",
-        help="emit the audit as JSON (byte-identical across worker "
-             "counts and repeated same-seed runs)",
+        help="emit the audit as JSON (byte-identical across repeated "
+             "same-seed runs)",
     )
 
     critpath = sub.add_parser(
@@ -175,8 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     critpath.add_argument(
         "--json", action="store_true",
         help="emit the decomposition as JSON (byte-identical across "
-             "worker counts, clock implementations, and repeated "
-             "same-seed runs)",
+             "clock implementations and repeated same-seed runs)",
     )
 
     diff_trace = sub.add_parser(
@@ -225,16 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="run the whole suite")
     experiment.add_argument(
         "--workers", type=int, default=1,
-        help="run experiments in parallel worker processes; tables are "
-             "printed in id order and identical to a serial run. With a "
-             "single experiment the workers instead parallelize the "
-             "experiment's own trades (offer farm + lattice buyer DP)",
-    )
-    experiment.add_argument(
-        "--parallel-threshold", type=int, default=512, metavar="PAIRS",
-        help="minimum estimated join pairs before a buyer DP level is "
-             "shipped to the worker pool (single-experiment runs only; "
-             "never changes results — default 512)",
+        help="run the selected experiments in parallel worker "
+             "processes; tables are printed in id order and identical "
+             "to a serial run",
     )
 
     report = sub.add_parser(
@@ -291,10 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-offers", type=int, default=None,
         help="per-session cap on offers evaluated (checked at round "
              "granularity; default unbudgeted)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=1,
-        help="offer-farm worker processes shared across sessions",
     )
     serve.add_argument(
         "--mqo", action="store_true",
@@ -369,7 +343,7 @@ def _negotiate(args: argparse.Namespace, tracer=None):
 
     # Offer ids come from a module-global counter; reseed it so repeated
     # same-seed invocations mint identical ids and traces/ledgers are
-    # byte-comparable across runs and worker counts.
+    # byte-comparable across runs.
     commodity_mod._offer_ids = itertools.count(1)
     world = build_world(
         nodes=args.nodes,
@@ -402,19 +376,11 @@ def _negotiate(args: argparse.Namespace, tracer=None):
         )
     else:
         protocol = BiddingProtocol()
-    if args.workers > 1:
-        from repro.parallel import OfferFarm
-
-        protocol.attach_farm(OfferFarm(args.workers))
     trader = QueryTrader(
         "client",
         world.seller_agents(),
         network,
-        BuyerPlanGenerator(
-            world.builder, "client", mode=args.plangen,
-            workers=args.workers,
-            parallel_threshold=args.parallel_threshold,
-        ),
+        BuyerPlanGenerator(world.builder, "client", mode=args.plangen),
         protocol=protocol,
     )
     if injector is not None:
@@ -665,8 +631,8 @@ def _cmd_telecom(args: argparse.Namespace) -> int:
 def _render_experiment(experiment_id: str) -> str:
     """Run one registered experiment and render its table.
 
-    Module-level so the parallel experiment runner can ship it to
-    worker processes by reference.
+    Module-level so ``run_jobs`` can ship it to worker processes by
+    reference.
     """
     return EXPERIMENTS[experiment_id]().render()
 
@@ -682,35 +648,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiment(s): {unknown}", file=sys.stderr)
         return 2
-    workers = getattr(args, "workers", 1)
-    if workers > 1 and len(ids) > 1:
+    if args.workers > 1:
         # Each experiment is self-contained (fresh worlds, fresh
-        # networks), so whole experiments farm out cleanly; tables are
-        # printed in id order regardless of completion order.
-        from repro.parallel import get_pool
+        # networks), so whole experiments run in separate workers;
+        # tables come back in id order regardless of completion order.
+        from repro.parallel import run_jobs
 
-        try:
-            pool = get_pool(min(workers, len(ids)))
-            futures = [pool.submit(_render_experiment, i) for i in ids]
-            for future in futures:
-                print(future.result())
-                print()
-            return 0
-        except Exception as exc:  # pool unavailable: run serially
-            print(f"parallel run unavailable ({exc}); running serially",
-                  file=sys.stderr)
-    elif workers > 1:
-        # A single experiment cannot be farmed whole, so parallelize
-        # *inside* it instead: the harness defaults hand every trade the
-        # worker pool (results are byte-identical either way).
-        from repro.bench.harness import set_parallel_defaults
-
-        set_parallel_defaults(
-            workers=workers,
-            parallel_threshold=getattr(args, "parallel_threshold", None),
-        )
-    for experiment_id in ids:
-        print(_render_experiment(experiment_id))
+        tables = run_jobs(_render_experiment, ids, args.workers)
+    else:
+        tables = map(_render_experiment, ids)  # print each as it finishes
+    for table in tables:
+        print(table)
         print()
     return 0
 
@@ -764,7 +712,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 rounds=args.budget_rounds, offers=args.budget_offers
             ),
         ),
-        farm_workers=args.workers,
         mqo=mqo,
         live_obs=live_obs,
     )

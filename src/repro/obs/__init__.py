@@ -11,7 +11,7 @@ Zero-dependency and off by default.  Enable by attaching a
     print(explain(result).render())   # why each site won its commodity
 
 The trader auto-wires the tracer into every layer it drives (protocol,
-sellers, offer caches, plan generator, offer farm), so one attach call
+sellers, offer caches, plan generator), so one attach call
 instruments the whole negotiation.  See ``docs/OBSERVABILITY.md`` for
 the event schema, the span hierarchy, the decision-ledger model, and
 the determinism/overhead contracts.
@@ -50,11 +50,10 @@ from repro.obs.report import (
     render_report,
     summarize,
 )
-from repro.obs.tracer import CAT_PARALLEL, NULL_TRACER, TraceRecord, Tracer
+from repro.obs.tracer import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "CAT_DECISION",
-    "CAT_PARALLEL",
     "CAUSAL_SCHEMA_VERSION",
     "CRITPATH_SCHEMA_VERSION",
     "BenchHistory",

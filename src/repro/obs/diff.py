@@ -1,6 +1,6 @@
 """Structural trace diffing: pinpoint *where* two runs diverge.
 
-The byte-equivalence suites (serial vs parallel, plain vs null-fault)
+The byte-equivalence suites (golden trades, plain vs null-fault)
 compare whole outputs; when they fail, the interesting question is the
 *first* record where the deterministic streams part ways — everything
 after it is usually an avalanche.  :func:`diff_rows` canonicalizes each
@@ -10,9 +10,9 @@ context and a per-field delta; :func:`diff_json` does the same for
 nested structures (ledgers, reports).
 
 Used by ``repro diff-trace A B`` (exit 0 when identical, 1 when
-divergent) and wired into ``benchmarks/test_ep_equivalence.py`` /
-``test_ef_equivalence.py`` so a failing equivalence assert names the
-divergence site instead of dumping two blobs.
+divergent) and wired into ``tests/test_golden.py`` /
+``benchmarks/test_ef_equivalence.py`` so a failing equivalence assert
+names the divergence site instead of dumping two blobs.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ audit: the winning site and settled price, the cost/valuation breakdown,
 the runner-up and its margin, and a categorized reason for every offer
 that did *not* end up in the plan.  Everything is computed from the
 deterministic ledger, so the JSON rendering is byte-identical across
-worker counts and repeated same-seed runs.
+repeated same-seed runs.
 
 Rejection reasons, from strongest to weakest evidence:
 

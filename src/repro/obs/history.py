@@ -145,7 +145,8 @@ class Gate:
     """One static threshold on a benchmark's headline metric.
 
     ``when`` names a boolean metric that must be truthy for the gate to
-    apply (e.g. the parallel speedup gate only binds on >=4-CPU hosts).
+    apply (e.g. a speedup gate that only binds on hosts with enough
+    CPUs).
     """
 
     bench: str
@@ -165,10 +166,6 @@ DEFAULT_GATES = (
     Gate("obs_overhead", "worst_null_overhead", "lt", 0.05),
     Gate("obs_overhead", "causal_overhead", "lt", 0.05),
     Gate("obs_overhead", "live_overhead", "lt", 0.10),
-    Gate("parallel", "eight_join_speedup", "ge", 2.0,
-         when="speedup_gate_enforced"),
-    Gate("parallel", "twelve_join_buyer_speedup", "ge", 3.0,
-         when="buyer_gate_enforced"),
     Gate("faults", "ef1_cost_stable", "eq", 1),
     Gate("serving", "all_sessions_completed", "eq", 1),
     Gate("mqo", "hit_rate_ratio", "ge", 5.0),
@@ -216,9 +213,7 @@ def check_drift(
     history: BenchHistory,
     latest: dict[str, dict[str, Any]],
     regress_pct: float,
-    metrics=(("enumeration", "eight_join_speedup"),
-             ("parallel", "eight_join_speedup"),
-             ("parallel", "twelve_join_buyer_speedup")),
+    metrics=(("enumeration", "eight_join_speedup"),),
 ) -> list[dict[str, Any]]:
     """Relative regression vs the previous same-CPU-host row.
 

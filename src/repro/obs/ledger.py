@@ -14,9 +14,8 @@ The trading layer emits compact ``ledger.*`` decision events (category
 ``"decision"``) at every choice point, all guarded by ``tracer.enabled``
 so the ledger is compiled out when tracing is off.  A
 :class:`NegotiationLedger` is rebuilt *deterministically* from the
-record stream: ``parallel``-category rows are filtered and nothing
-derived from raw sequence numbers is kept, so the ledger of a
-``--workers 4`` run is byte-identical to the serial one — the same
+record stream: nothing derived from raw sequence numbers is kept, so
+the ledgers of repeated same-seed runs are byte-identical — the same
 contract the deterministic JSONL exporter honors.
 
 Build one from a live tracer (the trader does this automatically and
@@ -32,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.obs.tracer import CAT_PARALLEL, TraceRecord
+from repro.obs.tracer import TraceRecord
 
 __all__ = ["NegotiationLedger", "CAT_DECISION", "LEDGER_SCHEMA_VERSION"]
 
@@ -95,13 +94,8 @@ class NegotiationLedger:
     def from_records(
         cls, records: Sequence[TraceRecord]
     ) -> "NegotiationLedger":
-        """Rebuild from live :class:`TraceRecord` rows (parallel-category
-        rows are dropped, so worker counts cannot change the result)."""
-        return cls._build(
-            (r.kind, r.name, r.args or {})
-            for r in records
-            if r.cat != CAT_PARALLEL
-        )
+        """Rebuild from live :class:`TraceRecord` rows."""
+        return cls._build((r.kind, r.name, r.args or {}) for r in records)
 
     @classmethod
     def from_rows(cls, rows: Iterable[dict]) -> "NegotiationLedger":
@@ -111,7 +105,6 @@ class NegotiationLedger:
             (row.get("kind", "event"), row.get("name", ""),
              row.get("args") or {})
             for row in rows
-            if row.get("cat") != CAT_PARALLEL
         )
 
     # ------------------------------------------------------------------

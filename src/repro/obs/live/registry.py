@@ -50,7 +50,7 @@ from typing import Iterable, Mapping
 
 from repro.obs.ledger import NegotiationLedger
 from repro.obs.live.sketch import QuantileSketch
-from repro.obs.tracer import CAT_PARALLEL, TraceRecord
+from repro.obs.tracer import TraceRecord
 
 __all__ = ["SiteStats", "SiteStatsRegistry", "SITE_STATS_SCHEMA_VERSION"]
 
@@ -214,7 +214,7 @@ class SiteStatsRegistry:
     def _observe_records(self, records: Iterable[TraceRecord]) -> None:
         """Latency/fanout accounting from trace record *args* only."""
         for record in records:
-            if record.cat == CAT_PARALLEL or record.kind != "span":
+            if record.kind != "span":
                 continue
             args = record.args or {}
             if record.name == "seller.compute" and record.site:

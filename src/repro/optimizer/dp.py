@@ -13,7 +13,6 @@ is how the experiments measure optimization cost deterministically.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -120,36 +119,13 @@ class DynamicProgrammingOptimizer:
     max_relations:
         Safety valve: queries wider than this raise, protecting the
         simulator from 2^n blowups the caller did not intend.
-    workers:
-        With ``workers > 1`` each lattice level is fanned across the
-        shared fork pool, masks LPT-partitioned by viable-split count
-        (the same cost-based allocator the buyer DP uses, see
-        :mod:`repro.parallel.partition`).  Results are merged in serial
-        mask order, so the DP — and any :meth:`prune_level` subclass
-        such as IDP, whose beam ties break on ``best``'s insertion
-        order — stays byte-identical to ``workers=1``.  The default of
-        1 keeps in-simulator sellers (which construct this optimizer
-        per agent) from nesting pools.
-    parallel_threshold:
-        Minimum estimated joins in a level before it is worth the IPC
-        tax of shipping it to the pool.
     """
 
     name = "dp"
 
-    def __init__(
-        self,
-        builder: PlanBuilder,
-        max_relations: int = 14,
-        workers: int = 1,
-        parallel_threshold: int = 512,
-    ):
-        if workers < 1:
-            raise ValueError("workers must be positive")
+    def __init__(self, builder: PlanBuilder, max_relations: int = 14):
         self.builder = builder
         self.max_relations = max_relations
-        self.workers = workers
-        self.parallel_threshold = parallel_threshold
 
     # -- hooks for subclasses (IDP) ---------------------------------------
     def prune_level(
@@ -224,23 +200,15 @@ class DynamicProgrammingOptimizer:
         n = graph.n
         query_connected = graph.is_connected
         for size in range(2, n + 1):
-            masks = graph.level_masks(size, connected_only=query_connected)
-            level_counted = None
-            if self.workers > 1 and masks:
-                level_counted = self._parallel_level(
-                    best, masks, graph, alias_to_relation, site
+            for mask in graph.level_masks(
+                size, connected_only=query_connected
+            ):
+                plan, counted = _best_join(
+                    self.builder, best, mask, graph, alias_to_relation, site
                 )
-            if level_counted is None:
-                level_counted = 0
-                for mask in masks:
-                    plan, counted = _best_join(
-                        self.builder, best, mask, graph,
-                        alias_to_relation, site,
-                    )
-                    level_counted += counted
-                    if plan is not None:
-                        best[mask] = plan
-            enumerated += level_counted
+                enumerated += counted
+                if plan is not None:
+                    best[mask] = plan
             self.prune_level(size, best, graph)
 
         full = best.get(graph.full_mask)
@@ -251,84 +219,6 @@ class DynamicProgrammingOptimizer:
         return DPResult(
             plan=plan, best=best_by_subset, enumerated=enumerated, graph=graph
         )
-
-    # ------------------------------------------------------------------
-    def _parallel_level(
-        self,
-        best: dict[int, Plan],
-        masks: Sequence[int],
-        graph: JoinGraph,
-        alias_to_relation: Mapping[str, str],
-        site: str,
-    ) -> int | None:
-        """Fan one DP level across the fork pool (IDP blocks included).
-
-        Mirrors :meth:`repro.trading.buyer.BuyerPlanGenerator._parallel_level`:
-        per-mask weights estimate the viable split counts, the level is
-        LPT-partitioned into cost-balanced chunks, and the shared state
-        (builder, surviving sub-plans, graph) is pickled once into a
-        blob all chunks share.  Merging back in serial mask order keeps
-        ``best``'s insertion order — and therefore IDP's stable
-        tie-breaks — identical to the serial run.  Returns the joins
-        enumerated, or ``None`` for "run serially".
-
-        For connected queries the memoized structural estimate
-        :meth:`JoinGraph.connected_split_count` is used: every mask in
-        ``best`` is connected there, so it upper-bounds the viable count
-        and is zero exactly when no split can survive — zero-weight
-        masks are provably no-ops and are skipped.  Disconnected
-        queries materialize cross products, so the exact
-        membership-in-``best`` count is taken instead.
-        """
-        if graph.is_connected:
-            weights = [graph.connected_split_count(mask) for mask in masks]
-        else:
-            weights = [
-                sum(
-                    1
-                    for left, right in graph.splits(mask)
-                    if left in best and right in best
-                )
-                for mask in masks
-            ]
-        if sum(weights) < self.parallel_threshold:
-            return None
-        scheduled = [i for i, weight in enumerate(weights) if weight > 0]
-        if len(scheduled) < 2:
-            return None
-        try:
-            from repro.parallel.partition import lpt_partition
-            from repro.parallel.pool import run_chunks
-
-            chunk_indices = lpt_partition(
-                [weights[i] for i in scheduled], self.workers
-            )
-            chunks = [
-                [masks[scheduled[j]] for j in group] for group in chunk_indices
-            ]
-            blob = pickle.dumps(
-                (self.builder, best, graph, alias_to_relation, site),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            merged: dict[int, tuple[Plan | None, int]] = {}
-            for result in run_chunks(
-                self.workers,
-                _dp_level_chunk_worker,
-                [(blob, chunk) for chunk in chunks],
-            ):
-                merged.update(result)
-        except Exception:
-            return None
-        enumerated = 0
-        for mask in masks:
-            got = merged.get(mask)
-            if got is None:
-                continue  # zero-weight mask: no viable split serially either
-            plan, counted = got
-            enumerated += counted
-            if plan is not None:
-                best[mask] = plan
-        return enumerated
 
     # ------------------------------------------------------------------
     def _finish(
@@ -392,24 +282,6 @@ def _best_join(
     if not candidates:
         return None, enumerated
     return min(candidates, key=_plan_cost), enumerated
-
-
-def _dp_level_chunk_worker(
-    blob: bytes, masks: Sequence[int]
-) -> dict[int, tuple[Plan | None, int]]:
-    """Worker-side slice of one DP level.
-
-    *blob* decodes to ``(builder, best, graph, alias_to_relation,
-    site)`` — pickled once by the parent, decoded here where the cost
-    parallelizes.  Masks only read strictly smaller subsets of *best*,
-    so chunk results are position-independent and the parent can merge
-    them in serial mask order.
-    """
-    builder, best, graph, alias_to_relation, site = pickle.loads(blob)
-    return {
-        mask: _best_join(builder, best, mask, graph, alias_to_relation, site)
-        for mask in masks
-    }
 
 
 def _plan_cost(plan: Plan) -> float:

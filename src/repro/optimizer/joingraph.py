@@ -73,7 +73,6 @@ class JoinGraph:
         "_connecting_cache",
         "_aliases_cache",
         "_subsets_cache",
-        "_split_count_cache",
     )
 
     def __init__(self, aliases: Iterable[str], conjuncts: Sequence[Expr]):
@@ -120,7 +119,6 @@ class JoinGraph:
         self._connecting_cache: dict[tuple[int, int], tuple[Expr, ...]] = {}
         self._aliases_cache: dict[int, frozenset[str]] = {}
         self._subsets_cache: dict[bool, dict[int, tuple[int, ...]]] = {}
-        self._split_count_cache: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Mask <-> alias conversions
@@ -334,41 +332,9 @@ class JoinGraph:
         """The masks of one lattice level, in serial enumeration order.
 
         Thin accessor over :meth:`subsets_by_size` for the level-at-a-
-        time schedulers (sizes outside ``2..n`` are empty levels).
+        time DPs (sizes outside ``2..n`` are empty levels).
         """
         return self.subsets_by_size(connected_only).get(size, ())
-
-    def total_splits(self, mask: int) -> int:
-        """How many ``(left, right)`` pairs :meth:`splits` yields.
-
-        Closed form — ``2**(size-1) - 1`` unordered two-way partitions —
-        so callers can budget split-enumeration work without paying it.
-        """
-        size = mask.bit_count()
-        if size < 2:
-            return 0
-        return (1 << (size - 1)) - 1
-
-    def connected_split_count(self, mask: int) -> int:
-        """Splits of *mask* whose sides are both connected (memoized).
-
-        The structural per-subset work estimate of the cost-based
-        lattice allocator: joins can only materialize on splits whose
-        complement halves are themselves reachable DP states, so this
-        count tracks a mask's true join workload far better than the
-        raw :meth:`total_splits` count does on sparse join graphs (a
-        chain's level-``k`` mask has ``k-1`` connected splits out of
-        ``2**(k-1) - 1`` total).
-        """
-        cached = self._split_count_cache.get(mask)
-        if cached is not None:
-            return cached
-        count = 0
-        for left, right in self.splits(mask):
-            if self.connected(left) and self.connected(right):
-                count += 1
-        self._split_count_cache[mask] = count
-        return count
 
     def splits(self, mask: int) -> Iterator[tuple[int, int]]:
         """Two-way partitions of *mask* in the original DP order.

@@ -1,52 +1,24 @@
-"""Parallel trading engine: process-pool layers over the QT simulator.
+"""Job-level parallelism: run independent measurements on a process pool.
 
-Three independent layers, all preserving byte-identical results versus
-serial execution (see ``docs/PARALLEL.md`` for the determinism
-contract):
-
-* :class:`~repro.parallel.offer_farm.OfferFarm` — computes each
-  negotiation round's independent seller offers in worker processes and
-  hands them back at the exact simulation points the serial code would
-  have computed them.
-* The full-lattice buyer DP — ``BuyerPlanGenerator(workers=N)`` ships
-  every level of the subset lattice to the fork pool, masks
-  LPT-partitioned by estimated join work (Trummer–Koch cost-based
-  allocation, :mod:`repro.parallel.partition`) and merged back in
-  serial mask order.  The seller-side DP/IDP optimizer reuses the same
-  allocator for its levels.
 * :func:`~repro.parallel.sweeps.run_sweep` — executes independent
-  (world, query, axis-point) benchmark measurements concurrently with
-  job-stable result ordering, LPT-chunking long sweeps by cost hints.
+  (world, query, runner) benchmark measurements concurrently, returning
+  them in job order (identical to a serial run).
+* :func:`~repro.parallel.pool.run_jobs` — the one pool path underneath
+  it and ``repro experiment --workers N``: submission-order results, a
+  loud serial fallback when the pool cannot start, and job exceptions
+  that propagate.
+
+A single trade, explain or served session always runs serially; the
+simulator models the paper's concurrent sellers in simulated time.
 """
 
-from repro.parallel.offer_farm import OfferFarm, RoundPrefetch
-from repro.parallel.partition import (
-    bucket_loads,
-    imbalance_ratio,
-    lpt_partition,
-)
-from repro.parallel.pool import (
-    available_cpus,
-    get_pool,
-    run_chunks,
-    shutdown_pools,
-    warm_pool,
-)
-from repro.parallel.sweeps import RUNNERS, SweepJob, job_cost_hint, run_sweep
+from repro.parallel.pool import run_jobs, shutdown_pools
+from repro.parallel.sweeps import RUNNERS, SweepJob, run_sweep
 
 __all__ = [
-    "OfferFarm",
-    "RoundPrefetch",
     "RUNNERS",
     "SweepJob",
-    "available_cpus",
-    "bucket_loads",
-    "get_pool",
-    "imbalance_ratio",
-    "job_cost_hint",
-    "lpt_partition",
-    "run_chunks",
+    "run_jobs",
     "run_sweep",
     "shutdown_pools",
-    "warm_pool",
 ]

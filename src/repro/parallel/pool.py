@@ -1,53 +1,38 @@
-"""Shared process-pool plumbing for the parallel trading engine.
+"""The process pool behind job-level parallelism.
 
 One :class:`~concurrent.futures.ProcessPoolExecutor` per worker count,
-created lazily and reused for the life of the process: the offer farm,
-the lattice buyer DP, and the sweep runner all fan out many small task
-batches, so paying pool start-up once instead of per negotiation round
-is what makes parallelism worth its IPC tax.
+created lazily and reused for the life of the process, so a caller that
+runs several sweeps pays pool start-up once.  :func:`run_jobs` is the
+only way in: :func:`repro.parallel.sweeps.run_sweep` and
+``repro experiment --workers N`` both go through it.
 
 The ``fork`` start method is preferred (cheap worker start, inherited
-module state); platforms without it fall back to the default context.
-Workers must nevertheless treat inherited globals as stale — e.g. the
-offer-id counter is explicitly reseeded per task (see
-``repro.parallel.offer_farm``).
+module state such as runner registrations); platforms without it fall
+back to the default context.
 
-Lifecycle hygiene: every pool is shut down at interpreter exit
-(:func:`shutdown_pools` is idempotent and registered with ``atexit``
-exactly once); a broken pool — a worker killed mid-task poisons a
-``ProcessPoolExecutor`` permanently — is detected and replaced on the
-next :func:`get_pool` call instead of failing every future forever.
-Benchmarks call :func:`warm_pool` so worker spawn cost (the executor
-forks lazily, on first submit) never lands inside a timed region.
-
-Callers should treat any exception from :func:`get_pool` or a submitted
-future as "parallelism unavailable" and fall back to their serial path —
-the equivalence contract makes the fallback free of behavioral change.
+Failure policy: if the pool cannot start or breaks (``OSError`` from
+process creation, :class:`BrokenProcessPool` after a worker died), a
+notice goes to stderr and the jobs run serially in-process.  An
+exception raised *by a job* propagates to the caller unchanged — a bug
+in a job is never hidden behind a serial rerun.  Every pool is shut
+down at interpreter exit (:func:`shutdown_pools` is idempotent).
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
-import time
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Iterable, TypeVar
 
-__all__ = [
-    "available_cpus",
-    "get_pool",
-    "warm_pool",
-    "run_chunks",
-    "shutdown_pools",
-]
+__all__ = ["run_jobs", "shutdown_pools"]
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
-_WARMED: set[int] = set()
-
-
-def available_cpus() -> int:
-    """Usable CPU count (1 when undetectable)."""
-    return os.cpu_count() or 1
 
 
 def _context():
@@ -57,20 +42,17 @@ def _context():
         return multiprocessing.get_context()
 
 
-def get_pool(workers: int) -> ProcessPoolExecutor:
+def _get_pool(workers: int) -> ProcessPoolExecutor:
     """The shared executor for *workers* processes (created on demand).
 
-    A previously created pool that has broken (worker death poisons the
-    executor) is discarded and replaced, so one crashed task does not
-    permanently disable parallelism for the rest of the process.
+    A pool that has broken (worker death poisons the executor) is
+    discarded and replaced, so one crashed worker does not disable the
+    pool for the rest of the process.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
     pool = _POOLS.get(workers)
     if pool is not None and getattr(pool, "_broken", False):
         pool.shutdown(wait=False, cancel_futures=True)
-        _POOLS.pop(workers, None)
-        _WARMED.discard(workers)
+        del _POOLS[workers]
         pool = None
     if pool is None:
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=_context())
@@ -78,47 +60,40 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _warm_task(seconds: float) -> int:
-    """Hold a worker briefly so every process actually spawns."""
-    time.sleep(seconds)
-    return os.getpid()
+def _pool_unavailable(exc: BaseException) -> None:
+    print(
+        f"process pool unavailable ({exc!r}); running serially",
+        file=sys.stderr,
+    )
 
 
-def warm_pool(workers: int, hold: float = 0.02) -> ProcessPoolExecutor:
-    """The shared pool with all *workers* processes started and idle.
+def run_jobs(
+    fn: Callable[[T], R], items: Iterable[T], workers: int = 1
+) -> list[R]:
+    """``[fn(item) for item in items]``, on up to *workers* processes.
 
-    ``ProcessPoolExecutor`` forks workers lazily on submit, so a bare
-    :func:`get_pool` leaves spawn cost inside the first caller's timed
-    region — which made small-join benchmark numbers understate speedup.
-    Each warm task holds its worker for *hold* seconds so one fast
-    process cannot service the whole warm-up batch.
+    Results come back in submission order whatever the completion
+    order.  *fn* must be a module-level function and each item
+    picklable.  With ``workers <= 1`` or fewer than two items the calls
+    run in-process.
     """
-    pool = get_pool(workers)
-    if workers not in _WARMED:
-        futures = [pool.submit(_warm_task, hold) for _ in range(workers)]
-        for future in futures:
-            future.result()
-        _WARMED.add(workers)
-    return pool
-
-
-def run_chunks(workers: int, fn, chunk_args: list[tuple]) -> list:
-    """Submit ``fn(*args)`` per chunk; results in submission order.
-
-    The level-batch task protocol shared by the lattice schedulers: one
-    pool task per cost-balanced chunk, so per-chunk shared state (the
-    ``PlanBuilder``, the lower DP levels) pickles once per chunk rather
-    than once per mask.  Exceptions propagate to the caller, whose
-    serial fallback is the equivalence-preserving escape hatch.
-    """
-    pool = get_pool(workers)
-    futures = [pool.submit(fn, *args) for args in chunk_args]
-    return [future.result() for future in futures]
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        try:
+            pool = _get_pool(min(workers, len(items)))
+            futures = [pool.submit(fn, item) for item in items]
+        except (OSError, BrokenProcessPool) as exc:
+            _pool_unavailable(exc)
+        else:
+            try:
+                return [future.result() for future in futures]
+            except BrokenProcessPool as exc:
+                _pool_unavailable(exc)
+    return [fn(item) for item in items]
 
 
 def shutdown_pools() -> None:
     """Shut down every pool created so far (idempotent)."""
-    _WARMED.clear()
     while _POOLS:
         _, pool = _POOLS.popitem()
         pool.shutdown(wait=False, cancel_futures=True)

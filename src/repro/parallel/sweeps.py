@@ -22,10 +22,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import repro.trading.commodity as commodity
-from repro.parallel.partition import lpt_partition
-from repro.parallel.pool import get_pool, run_chunks
+from repro.bench import harness
+from repro.parallel.pool import run_jobs
+from repro.workload import chain_query
 
-__all__ = ["SweepJob", "RUNNERS", "run_sweep", "job_cost_hint"]
+__all__ = ["SweepJob", "RUNNERS", "run_sweep"]
+
+#: Runner name -> ``fn(world, query, **run) -> Measurement``.  Callers may
+#: register more; pool workers are forked, so they see every runner
+#: registered before the pool started.
+RUNNERS: dict[str, Callable] = {
+    "qt": harness.run_qt,
+    "qt_faulty": harness.run_qt_faulty,
+    "distdp": harness.run_distdp,
+    "distidp": harness.run_distidp,
+    "mariposa": harness.run_mariposa,
+}
 
 
 @dataclass(frozen=True)
@@ -46,111 +58,25 @@ class SweepJob:
             )
 
 
-def _runners() -> dict[str, Callable]:
-    # Imported lazily: bench.harness itself imports repro.parallel.
-    from repro.bench import harness
-
-    return {
-        "qt": harness.run_qt,
-        "qt_faulty": harness.run_qt_faulty,
-        "distdp": harness.run_distdp,
-        "distidp": harness.run_distidp,
-        "mariposa": harness.run_mariposa,
-    }
-
-
-class _RunnerRegistry(dict):
-    """Lazily populated runner table (extendable by callers)."""
-
-    def _fill(self) -> None:
-        for key, runner in _runners().items():
-            dict.setdefault(self, key, runner)
-
-    def __missing__(self, key):
-        self._fill()
-        return dict.__getitem__(self, key)
-
-    def __contains__(self, key) -> bool:
-        if dict.__contains__(self, key):
-            return True
-        self._fill()
-        return dict.__contains__(self, key)
-
-    def keys(self):
-        self._fill()
-        return dict.keys(self)
-
-
-RUNNERS: dict[str, Callable] = _RunnerRegistry()
-
-
 def run_job(job: SweepJob):
     """Execute one job from scratch (fresh world, reseeded offer ids)."""
-    from repro.bench.harness import build_world
-    from repro.workload import chain_query
-
     commodity._offer_ids = itertools.count(1)
-    # Clear any fork-inherited offer-id scope (see offer_farm): a pool
-    # forked inside one would shadow the reseeded counter above.
+    # Clear any inherited offer-id scope: it would shadow the reseeded
+    # counter above.
     commodity._scoped_offer_ids.set(None)
-    world = build_world(**job.world)
+    world = harness.build_world(**job.world)
     query = chain_query(**job.query)
     measurement = RUNNERS[job.runner](world, query, **job.run)
     measurement.optimizer = job.label or measurement.optimizer
     return measurement
 
 
-def job_cost_hint(job: SweepJob) -> float:
-    """Rough relative cost of one job (for chunk balancing only).
-
-    Join-order search dominates a measurement, and its frontier grows
-    with the query's relation count and the catalog's fragment fan-out;
-    ``2**n_relations * fragments`` tracks that well enough for LPT to
-    separate 12-join monsters from 4-join warm-ups.  Hints steer *where*
-    jobs run, never what they compute, so a bad estimate costs balance,
-    not correctness.
-    """
-    n_relations = job.query.get("n_relations", 1)
-    fragments = job.world.get("fragments", 4)
-    return float(2**n_relations * fragments)
-
-
-def _run_job_chunk(jobs: Sequence[SweepJob]) -> list:
-    return [run_job(job) for job in jobs]
-
-
 def run_sweep(jobs: Sequence[SweepJob], workers: int = 1) -> list:
     """All jobs' measurements, in job order.
 
-    With ``workers > 1`` the jobs run concurrently in the shared process
-    pool; results are gathered in submission order, so the output is
-    identical to the serial run (same jobs, same order, same values).
-    Long sweeps (``len(jobs) >= 4 * workers``) are LPT-chunked by
-    :func:`job_cost_hint` so one task's scheduling overhead is paid per
-    chunk rather than per job and heavy jobs spread across workers
-    first; short sweeps keep one task per job for maximum overlap.
-    Pool failures fall back to in-process execution.
+    With ``workers > 1`` the jobs run concurrently through
+    :func:`~repro.parallel.pool.run_jobs`; results are gathered in
+    submission order, so the output is identical to the serial run
+    (same jobs, same order, same values).
     """
-    jobs = list(jobs)
-    if workers <= 1 or len(jobs) < 2:
-        return [run_job(job) for job in jobs]
-    try:
-        if len(jobs) >= 4 * workers:
-            chunk_indices = lpt_partition(
-                [job_cost_hint(job) for job in jobs], workers
-            )
-            results: list = [None] * len(jobs)
-            chunk_results = run_chunks(
-                min(workers, len(chunk_indices)),
-                _run_job_chunk,
-                [([jobs[i] for i in group],) for group in chunk_indices],
-            )
-            for group, measurements in zip(chunk_indices, chunk_results):
-                for i, measurement in zip(group, measurements):
-                    results[i] = measurement
-            return results
-        pool = get_pool(min(workers, len(jobs)))
-        futures = [pool.submit(run_job, job) for job in jobs]
-        return [future.result() for future in futures]
-    except Exception:
-        return [run_job(job) for job in jobs]
+    return run_jobs(run_job, jobs, workers)

@@ -552,9 +552,10 @@ class _Bool(Expr):
 
     def __reduce__(self):
         # TRUE/FALSE are singletons compared with ``is`` throughout the
-        # optimizer; unpickling must hand back the process-local
-        # singleton, never a fresh _Bool (a copy would silently change
-        # costing decisions like ``selection is not TRUE`` in workers).
+        # optimizer; copying or unpickling must hand back the
+        # process-local singleton, never a fresh _Bool (a copy would
+        # silently change costing decisions like ``selection is not
+        # TRUE``).
         return (_bool_singleton, (self.value,))
 
 

@@ -97,8 +97,7 @@ class InternTable:
     :class:`OfferCache` consults the table on every hit (to count
     ``intern_hits``) and on eviction (pinned entries are evicted last,
     so a shared commodity stays warm for its sharers).  Session views
-    and per-site worker snapshots share the one table — losing it in a
-    clone silently drops intern provenance from worker stats.
+    share the one table.
     """
 
     def __init__(self):
@@ -108,16 +107,6 @@ class InternTable:
     def __len__(self) -> int:
         with self._lock:
             return len(self._keys)
-
-    def __getstate__(self):
-        # Shipped to offer-farm workers inside cache snapshots.
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def pin(self, key: CacheKey, tag: str) -> None:
         """Mark *key* as an interned (epoch-priced) commodity."""
@@ -170,11 +159,11 @@ class OfferCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         #: Observability hook (off by default; the trader attaches its
-        #: network tracer, the offer farm a worker-local one).
+        #: network tracer).
         self.tracer: Tracer = NULL_TRACER
         #: Cross-session intern table (``None`` outside MQO epochs).
-        #: Shared — like the entry dict — by session views and per-site
-        #: snapshots, so intern-hit attribution survives every path.
+        #: Shared — like the entry dict — by session views, so intern-hit
+        #: attribution survives every path.
         self.interns: InternTable | None = None
         self._entries: dict[CacheKey, "DPResult"] = {}
         self._lock = threading.Lock()
@@ -182,17 +171,6 @@ class OfferCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __getstate__(self):
-        # Locks don't pickle; the offer farm ships site-sliced snapshots
-        # to worker processes, which recreate a fresh lock on unpickle.
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     @staticmethod
     def key_for(
@@ -286,49 +264,3 @@ class OfferCache:
         view._entries = self._entries
         view._lock = self._lock
         return view
-
-    # ------------------------------------------------------------------
-    # Parallel-worker support (see repro.parallel.offer_farm)
-    # ------------------------------------------------------------------
-    def snapshot_for_site(self, site: str) -> "OfferCache":
-        """An independent copy holding only *site*'s entries.
-
-        Keys embed the seller site (index 2), so this is the exact slice
-        of the cache one seller can ever touch.  The copy is effectively
-        unbounded: workers never evict — capacity policy is enforced by
-        the parent when it replays the worker's stores.
-
-        The intern table rides along: a worker hit on an epoch-priced
-        key must count as an intern hit exactly as the serial path
-        would, including when the capacity guard later demotes the
-        round to serial and recounts on the parent view — otherwise the
-        stats-delta replay silently drops intern provenance.
-        """
-        clone = OfferCache(
-            hit_work_fraction=self.hit_work_fraction,
-            max_entries=2**31,
-        )
-        clone.interns = self.interns
-        with self._lock:
-            clone._entries = {
-                key: result
-                for key, result in self._entries.items()
-                if key[2] == site
-            }
-        return clone
-
-    def new_entries_since(
-        self, snapshot: "OfferCache"
-    ) -> list[tuple[CacheKey, "DPResult"]]:
-        """Entries stored after *snapshot* was taken, in store order.
-
-        Stores only ever happen after a miss (the key was absent), so the
-        delta is exactly the keys not present in the snapshot; dict
-        insertion order preserves the store order the parent must replay.
-        """
-        with self._lock:
-            return [
-                (key, result)
-                for key, result in self._entries.items()
-                if key not in snapshot._entries
-            ]

@@ -47,7 +47,7 @@ _scoped_offer_ids: contextvars.ContextVar[Iterator[int] | None] = (
 def next_offer_id() -> int:
     """Mint the next offer id from the active counter.
 
-    Indirect on purpose: tests (and the parallel offer farm) reseed
+    Indirect on purpose: tests, the CLI and the sweep runner reseed
     ``commodity._offer_ids`` for reproducible ids, so callers must read
     the global at call time rather than bind the counter object once.
     A context-local counter installed via :func:`offer_id_scope` takes
@@ -94,7 +94,7 @@ def coverage_label(key: CoverageKey) -> str:
     """Compact string form of a coverage key: ``"r0:0,1;r1:2"``.
 
     Used by the decision-ledger events, where coverage identity must be
-    a JSON scalar (stable across runs and worker counts).
+    a JSON scalar (stable across runs).
     """
     return ";".join(
         f"{alias}:{','.join(str(f) for f in fids)}" for alias, fids in key

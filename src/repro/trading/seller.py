@@ -131,9 +131,7 @@ class SellerAgent:
             self.offer_cache: OfferCache | None = offer_cache
         else:
             self.offer_cache = OfferCache() if use_offer_cache else None
-        #: Observability hook; the trader attaches its network tracer,
-        #: the offer farm a fresh worker-local tracer whose records ship
-        #: back with the offer batch.
+        #: Observability hook; the trader attaches its network tracer.
         self.tracer: Tracer = NULL_TRACER
         #: Cache lineage of the most recent :meth:`optimize_cached` call
         #: ("hit" / "miss" / "none"), read by the decision-ledger

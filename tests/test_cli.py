@@ -104,6 +104,12 @@ class TestExperiment:
         assert code == 0
         assert "[E9]" in out
 
+    def test_workers_match_serial(self, capsys):
+        assert main(["experiment", "E5", "E6"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["experiment", "E5", "E6", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
     def test_registry_complete(self):
         expected = {f"E{i}" for i in range(1, 15)}
         expected |= {"E-F1", "E-F2", "E-F3"}

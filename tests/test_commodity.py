@@ -1,11 +1,14 @@
 """Unit tests for commodities (offers, RFBs) and valuations."""
 
+import pickle
+
 import pytest
 
 from repro.sql import RelationRef, SPJQuery
-from repro.trading import AnswerProperties, Offer, RequestForBids
+from repro.trading import AnswerProperties, Offer, RequestForBids, commodity
 from repro.trading.contracts import Contract
 from repro.trading.valuation import WeightedValuation
+from repro.workload import chain_query
 
 
 def props(**kwargs):
@@ -98,3 +101,26 @@ class TestContract:
         assert contract.surplus == pytest.approx(2.0)
         assert contract.seller == "s"
         assert "buys" in contract.describe()
+
+
+def test_offer_coverage_key_cached_and_shared():
+    query = chain_query(2, selection_cat=3)
+    offer = commodity.Offer(
+        seller="node1",
+        query=query,
+        coverage={"r1": frozenset((1, 0)), "r0": frozenset((2,))},
+        properties=commodity.AnswerProperties(total_time=1.0, rows=10),
+        exact_projections=False,
+        request_key=query.key(),
+    )
+    key = offer.coverage_key()
+    assert key == (("r0", (2,)), ("r1", (0, 1)))
+    assert offer.coverage_key() is key  # memoized
+    assert commodity.coverage_key(offer.coverage) == key
+    assert offer.dedupe_key() == (
+        offer.request_key, offer.query.key(), key, False
+    )
+    # Memo must not ship across pickling (PYTHONHASHSEED hygiene rule).
+    assert "_coverage_key_memo" not in pickle.loads(
+        pickle.dumps(offer)
+    ).__dict__

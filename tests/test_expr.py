@@ -1,5 +1,7 @@
 """Unit tests for the predicate expression algebra."""
 
+import pickle
+
 import pytest
 
 from repro.sql.expr import (
@@ -316,3 +318,25 @@ class TestSql:
         pred = (eq(C, 1) & in_list(D, [1, 2])) | gt(E, 0)
         text = pred.sql()
         assert "OR" in text and "AND" in text and "IN" in text
+
+
+# ----------------------------------------------------------------------
+# Memo and pickle hygiene (copies of plan expressions stay correct)
+# ----------------------------------------------------------------------
+def test_expr_hash_memo_and_pickle_hygiene():
+    comparison = Comparison("=", Column("a", "x"), Literal(3))
+    assert hash(comparison) == hash(comparison)
+    assert "_hash_memo" in comparison.__dict__
+    conj = And((comparison, Comparison("=", Column("a", "y"), Column("b", "y"))))
+    assert conj.columns() is conj.columns()  # memoized frozenset
+    restored = pickle.loads(pickle.dumps(conj))
+    # Memos are process-local (string hashes are salted per process) and
+    # must not travel; they repopulate on first use.
+    assert "_hash_memo" not in restored.__dict__
+    assert "_columns_memo" not in restored.__dict__
+    assert restored == conj and hash(restored) == hash(conj)
+
+
+def test_bool_singletons_survive_pickle():
+    assert pickle.loads(pickle.dumps(TRUE)) is TRUE
+    assert pickle.loads(pickle.dumps(FALSE)) is FALSE

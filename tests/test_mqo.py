@@ -191,18 +191,13 @@ class TestAmortization:
 
 
 # ----------------------------------------------------------------------
-# MQO-off byte-identity: broker == library, any workers, either clock
+# MQO-off byte-identity: broker == library, either clock
 # ----------------------------------------------------------------------
 class TestMQOOffByteIdentity:
-    def library_ledger(self, query, workers: int = 1) -> str:
+    def library_ledger(self, query) -> str:
         world = build_world(**WORLD)
         network = Network(world.model)
         network.attach_tracer(Tracer())
-        protocol = OrderedBiddingProtocol()
-        if workers > 1:
-            from repro.parallel import OfferFarm
-
-            protocol.attach_farm(OfferFarm(workers))
         with offer_id_scope():
             trader = QueryTrader(
                 BUYER,
@@ -211,7 +206,7 @@ class TestMQOOffByteIdentity:
                 ),
                 network,
                 BuyerPlanGenerator(world.builder, BUYER),
-                protocol=protocol,
+                protocol=OrderedBiddingProtocol(),
                 max_iterations=6,
             )
             result = trader.optimize(query)
@@ -230,27 +225,11 @@ class TestMQOOffByteIdentity:
         assert result.ledger is not None
         return result.ledger.to_json()
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_mqo_off_broker_matches_library(self, workers, arrivals):
-        """MQO-off ledgers are the serial library's, byte for byte —
-        at any worker count (the farm's equivalence contract)."""
+    def test_mqo_off_broker_matches_library(self, arrivals):
+        """MQO-off ledgers are the serial library's, byte for byte."""
         query = arrivals[0].query
         expected = self.library_ledger(query)
-        assert self.broker_ledger(query, farm_workers=workers) == expected
-
-    def test_farm_inside_offer_id_scope_matches_serial(self, arrivals):
-        """Regression: a pool forked inside an ``offer_id_scope``.
-
-        Workers inherit the scope's ContextVar at fork and, uncleared,
-        would mint scoped ids instead of creation indices — colliding
-        offer ids, unstable ledgers, run-to-run drift.  The worker-side
-        reset keeps farm runs byte-identical to serial under a scope.
-        """
-        query = arrivals[0].query
-        serial = self.library_ledger(query)
-        farmed = self.library_ledger(query, workers=4)
-        assert farmed == serial
-        assert self.library_ledger(query, workers=4) == farmed
+        assert self.broker_ledger(query) == expected
 
     def test_disabled_config_is_off(self, arrivals):
         """enabled=False never constructs a scheduler at all."""
@@ -398,7 +377,7 @@ class TestEpochScheduler:
 
 
 # ----------------------------------------------------------------------
-# Satellite: snapshot_for_site must carry intern provenance
+# Intern table: provenance, eviction priority, stats accounting
 # ----------------------------------------------------------------------
 def _key(site: str, tag: str):
     """A structurally-valid cache key (site lives at index 2)."""
@@ -406,22 +385,17 @@ def _key(site: str, tag: str):
 
 
 class TestInternSnapshotRegression:
-    def test_site_snapshot_shares_the_intern_table(self):
+    def test_intern_hit_counted_and_carried_by_stats_delta(self):
         cache = OfferCache()
         cache.interns = InternTable()
         key = _key("node0", "a")
         cache.store(key, object())
         cache.interns.pin(key, "e1")
-        clone = cache.snapshot_for_site("node0")
-        # The regression: the clone used to drop ``interns``, so worker
-        # hits on epoch-priced keys lost their intern provenance (and
-        # the serial-demotion recount disagreed with worker counting).
-        assert clone.interns is cache.interns
-        assert clone.lookup(key) is not None
-        assert clone.stats.intern_hits == 1
-        # A stats-delta replay onto the parent carries the field.
+        assert cache.lookup(key) is not None
+        assert cache.stats.intern_hits == 1
+        # Stats deltas (per-trade and per-epoch accounting) carry the field.
         parent = CacheStats()
-        parent.add(clone.stats.delta_since(CacheStats()))
+        parent.add(cache.stats.delta_since(CacheStats()))
         assert parent.intern_hits == 1
 
     def test_session_view_shares_the_intern_table(self):

@@ -1,375 +1,114 @@
-"""Tier-1 coverage of the parallel trading engine (fast variants).
+"""Tier-1 coverage of job-level parallelism (``repro.parallel``).
 
-The full axis sweep lives in ``benchmarks/test_ep_equivalence.py``;
-here one small federation checks each layer's byte-equivalence contract
-plus the supporting refactors (cached structural hashes, the shared
-coverage key, pickle hygiene for the optimizer's singletons).
+``run_sweep`` must return exactly the serial measurements in job order,
+fall back to a serial run (loudly) only when the pool itself cannot
+start, and let an exception raised by a job reach the caller.
 """
 
-import itertools
-import pickle
-import random
+import os
 
-import repro.trading.commodity as commodity
-from repro.bench.harness import build_world, run_qt
-from repro.parallel import (
-    OfferFarm,
-    SweepJob,
-    bucket_loads,
-    imbalance_ratio,
-    lpt_partition,
-    run_chunks,
-    run_sweep,
-    shutdown_pools,
-    warm_pool,
-)
-from repro.sql.expr import TRUE, FALSE, And, Column, Comparison, Literal
-from repro.sql.query import SPJQuery
-from repro.sql.schema import RelationRef
-from repro.trading import (
-    BuyerPlanGenerator,
-    OfferCache,
-    RequestForBids,
-    SellerAgent,
-)
-from repro.workload import chain_query
+import pytest
+
+import repro.parallel.pool as pool_module
+from repro.parallel import RUNNERS, SweepJob, run_jobs, run_sweep, shutdown_pools
+from repro.trading.commodity import offer_id_scope
 
 
-def _small_world():
-    return build_world(nodes=8, n_relations=4, fragments=3, replicas=2, seed=7)
-
-
-def _trade_signature(workers: int):
-    commodity._offer_ids = itertools.count(1)
-    world = _small_world()
-    query = chain_query(3, selection_cat=3)
-    m = run_qt(world, query, workers=workers, offer_cache=OfferCache())
-    return (
-        m.found, m.plan_cost, m.optimization_time, m.messages, m.iterations,
-        m.offers, m.cache_hits, m.cache_misses, m.plan_explain,
-    )
-
-
-def test_workers2_trade_byte_identical():
-    assert _trade_signature(1) == _trade_signature(2)
-
-
-def test_partitioned_buyer_dp_equivalence():
-    commodity._offer_ids = itertools.count(1)
-    world = _small_world()
-    query = chain_query(4, selection_cat=3)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    offers = []
-    for node in world.nodes:
-        if node == "client":
-            continue
-        agent = SellerAgent(
-            world.catalog.local(node), world.builder, use_offer_cache=False
+def _jobs(joins=(2, 3, 2)):
+    return [
+        SweepJob(
+            label=f"qt-{n}j",
+            runner="qt",
+            world={"nodes": 8, "n_relations": 4, "seed": 7},
+            query={"n_relations": n, "selection_cat": 3},
+            run={"offer_cache": None, "use_offer_cache": False},
         )
-        node_offers, _ = agent.prepare_offers(rfb)
-        offers.extend(node_offers)
-    serial = BuyerPlanGenerator(world.builder, "client").generate(query, offers)
-    # threshold=1 forces the process-pool path even for this tiny frontier
-    parallel = BuyerPlanGenerator(
-        world.builder, "client", workers=2, parallel_threshold=1
-    ).generate(query, offers)
-    assert serial.enumerated == parallel.enumerated
-    assert serial.best.plan.explain() == parallel.best.plan.explain()
-    assert [c.value for c in serial.candidates] == [
-        c.value for c in parallel.candidates
+        for n in joins
     ]
 
 
-def test_lpt_partition_properties():
-    """Every index lands exactly once; imbalance obeys the LPT bound."""
-    rng = random.Random(20260808)
-    cases = [
-        [],  # no items
-        [5.0],  # single item
-        [0.0, 0.0, 0.0],  # all zero weight
-        [100.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # one dominant item
-    ] + [
-        [float(rng.randint(0, 1000)) for _ in range(rng.randint(1, 64))]
-        for _ in range(30)
+def _signature(measurements):
+    return [
+        (m.optimizer, m.plan_cost, m.optimization_time, m.messages,
+         m.plan_explain)
+        for m in measurements
     ]
-    for buckets in (1, 2, 4, 7, 16):
-        for weights in cases:
-            assignment = lpt_partition(weights, buckets)
-            # Exactly-once coverage, ascending within each bucket.
-            flat = sorted(i for group in assignment for i in group)
-            assert flat == list(range(len(weights)))
-            for group in assignment:
-                assert group == sorted(group)
-            assert len(assignment) <= min(buckets, len(weights) or 1)
-            # List-scheduling bound: max load <= total/k + max item.
-            loads = bucket_loads(assignment, weights)
-            if weights and sum(weights) > 0:
-                k = min(buckets, len(weights))
-                bound = sum(weights) / k + max(weights)
-                assert max(loads) <= bound + 1e-9
-                assert imbalance_ratio(loads) >= 1.0 - 1e-9
-            # Deterministic: the same inputs give the same partition.
-            assert lpt_partition(weights, buckets) == assignment
 
 
-def test_full_lattice_buyer_dp_equivalence():
-    """Multi-level parallel lattice matches serial byte-for-byte."""
-    commodity._offer_ids = itertools.count(1)
-    world = build_world(nodes=8, n_relations=7, fragments=3, replicas=2,
-                        seed=7)
-    query = chain_query(6, selection_cat=3)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    offers = []
-    for node in world.nodes:
-        if node == "client":
-            continue
-        agent = SellerAgent(
-            world.catalog.local(node), world.builder, use_offer_cache=False
-        )
-        node_offers, _ = agent.prepare_offers(rfb)
-        offers.extend(node_offers)
-
-    def signature(workers):
-        result = BuyerPlanGenerator(
-            world.builder, "client", workers=workers, parallel_threshold=1
-        ).generate(query, offers)
-        return (
-            result.enumerated,
-            [(c.value, c.plan.explain()) for c in result.candidates],
-        )
-
-    # threshold=1 ships every eligible level (sizes 2..6) to the pool
-    assert signature(1) == signature(4)
+def test_run_sweep_order_stable():
+    jobs = _jobs()
+    serial = run_sweep(jobs, workers=1)
+    parallel = run_sweep(jobs, workers=2)
+    assert [m.optimizer for m in parallel] == ["qt-2j", "qt-3j", "qt-2j"]
+    assert _signature(serial) == _signature(parallel)
 
 
-def test_twelve_join_buyer_dp_byte_identical():
-    """The acceptance case: a 12-join lattice at workers ∈ {1, 4}.
+def test_run_sweep_inside_offer_id_scope_matches_serial():
+    """Jobs reseed offer ids even when the caller holds an id scope.
 
-    Sellers use IDP local optimizers so offer generation stays cheap —
-    the subject under test is the buyer's full-lattice parallel DP.
+    Pool workers forked inside an ``offer_id_scope`` inherit its
+    ContextVar; uncleared, it would shadow the per-job reseed and shift
+    the ``offer#N`` ids in every plan.
     """
-    from repro.optimizer import IDPOptimizer
-
-    commodity._offer_ids = itertools.count(1)
-    world = build_world(nodes=6, n_relations=13, fragments=2, replicas=2,
-                        seed=7)
-    query = chain_query(13)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    offers = []
-    for node in world.nodes:
-        if node == "client":
-            continue
-        agent = SellerAgent(
-            world.catalog.local(node), world.builder,
-            optimizer=IDPOptimizer(world.builder), use_offer_cache=False,
-        )
-        node_offers, _ = agent.prepare_offers(rfb)
-        offers.extend(node_offers)
-
-    def signature(workers):
-        result = BuyerPlanGenerator(
-            world.builder, "client", workers=workers
-        ).generate(query, offers)
-        return (
-            result.enumerated,
-            [(c.value, c.plan.explain()) for c in result.candidates],
-        )
-
-    assert signature(1) == signature(4)
+    jobs = _jobs((2, 3))
+    expected = _signature(run_sweep(jobs, workers=1))
+    shutdown_pools()  # fork the pool below inside the scope
+    with offer_id_scope(start=1000):
+        assert _signature(run_sweep(jobs, workers=2)) == expected
+    shutdown_pools()
 
 
-def test_seller_dp_parallel_equivalence():
-    """The seller-side DP/IDP reuses the lattice partitioner unchanged."""
-    from repro.optimizer import DynamicProgrammingOptimizer, IDPOptimizer
+def _raise_in_worker(world, query, parent_pid):
+    if os.getpid() != parent_pid:
+        raise RuntimeError("job failed in a pool worker")
+    from repro.bench.harness import run_qt
 
-    world = build_world(nodes=6, n_relations=9, fragments=2, replicas=2,
-                        seed=7)
-    query = chain_query(8)
-    site = world.nodes[1]
-
-    def signature(result):
-        return (
-            result.enumerated,
-            result.plan.explain() if result.plan else None,
-            [
-                (tuple(sorted(subset)), plan.explain())
-                for subset, plan in result.best.items()
-            ],
-        )
-
-    for cls in (DynamicProgrammingOptimizer, IDPOptimizer):
-        serial = cls(world.builder).optimize(query, site)
-        parallel = cls(
-            world.builder, workers=2, parallel_threshold=1
-        ).optimize(query, site)
-        assert signature(serial) == signature(parallel), cls.__name__
+    return run_qt(world, query, offer_cache=None, use_offer_cache=False)
 
 
-def test_warm_pool_and_shutdown_idempotent():
-    pool = warm_pool(2)
-    assert warm_pool(2) is pool  # second warm is a no-op
-    assert run_chunks(2, _double, [(3,), (4,), (5,)]) == [6, 8, 10]
+def test_run_sweep_propagates_worker_exception():
+    """A job that fails in a worker is an error, not a serial rerun."""
+    RUNNERS["raise_in_worker"] = _raise_in_worker
+    try:
+        # Fork after registering so the workers see the runner.
+        shutdown_pools()
+        jobs = [
+            SweepJob(
+                label=f"job-{i}",
+                runner="raise_in_worker",
+                world={"nodes": 4, "n_relations": 2, "seed": 7},
+                query={"n_relations": 2},
+                run={"parent_pid": os.getpid()},
+            )
+            for i in range(2)
+        ]
+        assert len(run_sweep(jobs, workers=1)) == 2
+        with pytest.raises(RuntimeError, match="pool worker"):
+            run_sweep(jobs, workers=2)
+    finally:
+        del RUNNERS["raise_in_worker"]
+        shutdown_pools()
+
+
+def test_run_jobs_falls_back_loudly_when_pool_cannot_start(
+    monkeypatch, capsys
+):
+    def no_pool(workers):
+        raise OSError("cannot fork")
+
+    monkeypatch.setattr(pool_module, "_get_pool", no_pool)
+    assert run_jobs(_double, [1, 2, 3], workers=2) == [2, 4, 6]
+    assert "running serially" in capsys.readouterr().err
+
+
+def test_run_jobs_and_shutdown_idempotent():
+    assert run_jobs(_double, [3, 4, 5], workers=2) == [6, 8, 10]
     shutdown_pools()
     shutdown_pools()  # idempotent
     # Pools come back after shutdown (atexit can run after manual calls).
-    assert run_chunks(2, _double, [(7,)]) == [14]
+    assert run_jobs(_double, [7, 8], workers=2) == [14, 16]
     shutdown_pools()
 
 
 def _double(x):
     return 2 * x
-
-
-def test_sweep_chunked_path_equivalence():
-    """len(jobs) >= 4*workers engages LPT chunking; order must hold."""
-    jobs = [
-        SweepJob(
-            label=f"qt-{joins}j-{i}",
-            runner="qt",
-            world={"nodes": 8, "n_relations": 4, "seed": 7},
-            query={"n_relations": joins, "selection_cat": 3},
-            run={"offer_cache": None, "use_offer_cache": False},
-        )
-        for i, joins in enumerate((2, 3, 2, 3, 2, 3, 2, 3))
-    ]
-    serial = run_sweep(jobs, workers=1)
-    chunked = run_sweep(jobs, workers=2)
-    assert [m.optimizer for m in chunked] == [j.label for j in jobs]
-    assert [
-        (m.plan_cost, m.optimization_time, m.messages, m.plan_explain)
-        for m in serial
-    ] == [
-        (m.plan_cost, m.optimization_time, m.messages, m.plan_explain)
-        for m in chunked
-    ]
-
-
-def test_offer_farm_round_matches_serial():
-    world = _small_world()
-    query = chain_query(3, selection_cat=3)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    sellers = world.seller_agents(offer_cache=OfferCache())
-
-    commodity._offer_ids = itertools.count(1)
-    serial = {}
-    for node in sorted(sellers):
-        serial[node] = sellers[node].prepare_offers(rfb)
-
-    commodity._offer_ids = itertools.count(1)
-    sellers2 = world.seller_agents(offer_cache=OfferCache())
-    farm = OfferFarm(workers=2)
-    prefetch = farm.prepare(sellers2, rfb, exclude="client")
-    assert prefetch is not None
-    for node in sorted(sellers2):
-        batch = prefetch.consume(node, sellers2[node], rfb)
-        assert batch is not None
-        offers, work = batch
-        ref_offers, ref_work = serial[node]
-        assert work == ref_work
-        assert [o.describe() for o in offers] == [
-            o.describe() for o in ref_offers
-        ]
-        # Second consume (a fault-duplicated delivery) must defer to the
-        # serial path.
-        assert prefetch.consume(node, sellers2[node], rfb) is None
-
-
-def test_offer_farm_serial_fallbacks():
-    world = _small_world()
-    query = chain_query(2, selection_cat=3)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    sellers = world.seller_agents()
-    assert OfferFarm(workers=1).prepare(sellers, rfb) is None
-    # Subcontracting sellers hold live network references: never farmed.
-    next(iter(sellers.values())).subcontractor = object()
-    assert OfferFarm(workers=2).prepare(sellers, rfb) is None
-
-
-def test_run_sweep_order_stable():
-    jobs = [
-        SweepJob(
-            label=f"qt-{joins}j",
-            runner="qt",
-            world={"nodes": 8, "n_relations": 4, "seed": 7},
-            query={"n_relations": joins, "selection_cat": 3},
-            run={"offer_cache": None, "use_offer_cache": False},
-        )
-        for joins in (2, 3, 2)
-    ]
-    serial = run_sweep(jobs, workers=1)
-    parallel = run_sweep(jobs, workers=2)
-    assert [m.optimizer for m in parallel] == ["qt-2j", "qt-3j", "qt-2j"]
-    assert [
-        (m.plan_cost, m.optimization_time, m.messages, m.plan_explain)
-        for m in serial
-    ] == [
-        (m.plan_cost, m.optimization_time, m.messages, m.plan_explain)
-        for m in parallel
-    ]
-
-
-def test_offer_cache_site_snapshot():
-    cache = OfferCache(max_entries=4)
-    key_a = ("q1", (("r0", (0,)),), "node1", None, "dp")
-    key_b = ("q1", (("r0", (0,)),), "node2", None, "dp")
-    cache.store(key_a, "result-a")
-    cache.store(key_b, "result-b")
-    snap = cache.snapshot_for_site("node1")
-    assert len(snap) == 1 and snap.lookup(key_a) == "result-a"
-    assert snap.stats.hits == 1 and cache.stats.hits == 0
-    snap.store(key_b[:2] + ("node1", None, "idp"), "result-c")
-    delta = snap.new_entries_since(cache.snapshot_for_site("node1"))
-    assert [entry[1] for entry in delta] == ["result-c"]
-
-
-def test_offer_coverage_key_cached_and_shared():
-    query = chain_query(2, selection_cat=3)
-    offer = commodity.Offer(
-        seller="node1",
-        query=query,
-        coverage={"r1": frozenset((1, 0)), "r0": frozenset((2,))},
-        properties=commodity.AnswerProperties(total_time=1.0, rows=10),
-        exact_projections=False,
-        request_key=query.key(),
-    )
-    key = offer.coverage_key()
-    assert key == (("r0", (2,)), ("r1", (0, 1)))
-    assert offer.coverage_key() is key  # memoized
-    assert commodity.coverage_key(offer.coverage) == key
-    assert offer.dedupe_key() == (
-        offer.request_key, offer.query.key(), key, False
-    )
-    # Memo must not ship across pickling (PYTHONHASHSEED hygiene rule).
-    assert "_coverage_key_memo" not in pickle.loads(
-        pickle.dumps(offer)
-    ).__dict__
-
-
-def test_expr_hash_memo_and_pickle_hygiene():
-    comparison = Comparison("=", Column("a", "x"), Literal(3))
-    assert hash(comparison) == hash(comparison)
-    assert "_hash_memo" in comparison.__dict__
-    conj = And((comparison, Comparison("=", Column("a", "y"), Column("b", "y"))))
-    assert conj.columns() is conj.columns()  # memoized frozenset
-    restored = pickle.loads(pickle.dumps(conj))
-    # Memos are process-local (string hashes are salted per process) and
-    # must not travel; they repopulate on first use.
-    assert "_hash_memo" not in restored.__dict__
-    assert "_columns_memo" not in restored.__dict__
-    assert restored == conj and hash(restored) == hash(conj)
-
-
-def test_bool_singletons_survive_pickle():
-    assert pickle.loads(pickle.dumps(TRUE)) is TRUE
-    assert pickle.loads(pickle.dumps(FALSE)) is FALSE
-
-
-def test_query_key_memoized():
-    query = SPJQuery(
-        relations=(RelationRef("R0", "r0"), RelationRef("R1", "r1")),
-        predicate=Comparison("=", Column("r0", "x"), Column("r1", "x")),
-    )
-    assert query.key() is query.key()
-    restored = pickle.loads(pickle.dumps(query))
-    assert "_key_memo" not in restored.__dict__
-    assert restored.key() == query.key()

@@ -4,11 +4,11 @@ Pins the contracts ``docs/OBSERVABILITY.md`` promises for the decision
 ledger, ``explain``, trace diffing, and the bench-history store:
 
 * **ledger determinism** — the :class:`NegotiationLedger` rebuilt from a
-  traced run is byte-identical between ``workers=1`` and ``workers=4``,
-  across repeated same-seed runs, and under the example fault plan;
+  traced run is byte-identical across repeated same-seed runs, and
+  under the example fault plan;
 * **explain fidelity** — every awarded commodity names its winning
   site, settled price, and runner-up margin, and the JSON form is
-  byte-identical across worker counts;
+  byte-identical across repeated same-seed runs;
 * **diff precision** — self-comparison of a deterministic trace is
   empty, and a synthetically perturbed trace is pinpointed at the exact
   injected record and field;
@@ -59,7 +59,7 @@ FAULT_PLAN = (
 )
 
 
-def _trade(workers: int = 1, tracer: Tracer | None = None):
+def _trade(tracer: Tracer | None = None):
     """One small deterministic negotiation; returns the TradingResult."""
     commodity._offer_ids = itertools.count(1)
     world = build_world(nodes=8, n_relations=4, fragments=4, replicas=2,
@@ -68,17 +68,12 @@ def _trade(workers: int = 1, tracer: Tracer | None = None):
     network = Network(world.model)
     if tracer is not None:
         network.attach_tracer(tracer)
-    protocol = BiddingProtocol()
-    if workers > 1:
-        from repro.parallel import OfferFarm
-
-        protocol.attach_farm(OfferFarm(workers))
     trader = QueryTrader(
         "client",
         world.seller_agents(offer_cache=OfferCache()),
         network,
-        BuyerPlanGenerator(world.builder, "client", workers=workers),
-        protocol=protocol,
+        BuyerPlanGenerator(world.builder, "client"),
+        protocol=BiddingProtocol(),
     )
     return trader.optimize(query)
 
@@ -111,12 +106,10 @@ def test_no_ledger_without_tracer():
     assert result.ledger is None
 
 
-def test_ledger_byte_identical_across_workers_and_runs():
-    serial = _trade(tracer=Tracer()).ledger.to_json()
-    parallel = _trade(workers=4, tracer=Tracer()).ledger.to_json()
+def test_ledger_byte_identical_across_runs():
+    first = _trade(tracer=Tracer()).ledger.to_json()
     repeat = _trade(tracer=Tracer()).ledger.to_json()
-    assert serial == parallel
-    assert serial == repeat
+    assert first == repeat
 
 
 def test_ledger_byte_identical_under_fault_plan():
@@ -168,10 +161,10 @@ def test_explain_names_winner_price_and_runner_up():
         assert item.winner in rendered
 
 
-def test_explain_json_identical_across_workers():
-    serial = explain(_trade(tracer=Tracer())).to_json()
-    parallel = explain(_trade(workers=4, tracer=Tracer())).to_json()
-    assert serial == parallel
+def test_explain_json_identical_across_runs():
+    first = explain(_trade(tracer=Tracer())).to_json()
+    repeat = explain(_trade(tracer=Tracer())).to_json()
+    assert first == repeat
 
 
 def test_explain_subquery_filter_and_errors():
@@ -203,7 +196,7 @@ def test_diff_self_compare_is_empty():
     assert "identical" in diff.render()
 
     other = Tracer()
-    _trade(workers=4, tracer=other)
+    _trade(tracer=other)
     assert diff_records(tracer.records, other.records).identical
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the SPJ query model."""
 
+import pickle
+
 import pytest
 
 from repro.sql import (
@@ -171,3 +173,14 @@ class TestRendering:
     def test_output_columns_needs_schemas_for_star(self):
         with pytest.raises(ValueError):
             chain(2).output_columns()
+
+
+def test_query_key_memoized():
+    query = SPJQuery(
+        relations=(RelationRef("R0", "r0"), RelationRef("R1", "r1")),
+        predicate=eq(column("r0", "x"), column("r1", "x")),
+    )
+    assert query.key() is query.key()
+    restored = pickle.loads(pickle.dumps(query))
+    assert "_key_memo" not in restored.__dict__
+    assert restored.key() == query.key()
