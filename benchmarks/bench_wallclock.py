@@ -1,10 +1,12 @@
 """Wall-clock benchmark: bitmask enumeration core vs the frozenset code.
 
 Times the seller-side System-R DP (4–10 joins) and the buyer plan
-generator against the reference (pre-rewire) implementations kept in
+generator (5 joins; the 12-join golden setup; an 8-join chain over 32
+nodes) against the reference implementations kept in
 :mod:`repro.optimizer.reference`, asserting the plans are identical
-before trusting the numbers.  Writes ``BENCH_enumeration.json`` at the
-repository root.
+before trusting the numbers.  The buyer reference is self-contained:
+frozenset rectangles, pairwise union scans and per-comparison leaf
+walks.  Writes ``BENCH_enumeration.json`` at the repository root.
 
 Run with::
 
@@ -20,6 +22,7 @@ import time
 from repro.bench.envelope import bench_envelope, history
 from repro.bench.harness import build_world
 from repro.optimizer.dp import DynamicProgrammingOptimizer
+from repro.optimizer.idp import IDPOptimizer
 from repro.optimizer.reference import (
     ReferenceDynamicProgrammingOptimizer,
     reference_buyer_generate,
@@ -76,28 +79,43 @@ def bench_seller_dp(world) -> list[dict]:
     return rows
 
 
-def bench_buyer_plangen(world, joins: int = 5) -> dict:
-    query = chain_query(joins + 1)
+def buyer_offers(world, query, **seller_kwargs) -> list:
+    """Every seller's round-one offers for *query*."""
     rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
     offers = []
     for node in world.nodes:
         if node == "client":
             continue
-        agent = SellerAgent(world.catalog.local(node), world.builder)
+        agent = SellerAgent(
+            world.catalog.local(node), world.builder, **seller_kwargs
+        )
         node_offers, _work = agent.prepare_offers(rfb)
         offers.extend(node_offers)
+    return offers
+
+
+def bench_buyer_plangen(world, case: str, joins: int, **seller_kwargs) -> dict:
+    """The buyer DP vs the self-contained reference generator, with the
+    enumerated count, every candidate's value and plan, and the best
+    plan asserted identical."""
+    query = chain_query(joins + 1)
+    offers = buyer_offers(world, query, **seller_kwargs)
     generator = BuyerPlanGenerator(world.builder, "client", mode="dp")
     new_s, new_result, seed_s, ref_result = best_of_pair(
         lambda: generator.generate(query, offers),
         lambda: reference_buyer_generate(generator, query, offers),
     )
     assert new_result.enumerated == ref_result.enumerated
+    assert [(c.value, c.plan.explain()) for c in new_result.candidates] == [
+        (c.value, c.plan.explain()) for c in ref_result.candidates
+    ]
     assert (new_result.best is None) == (ref_result.best is None)
     if new_result.best is not None:
         assert new_result.best.plan.explain() == ref_result.best.plan.explain()
     return {
-        "case": f"buyer-plangen-{joins}-joins",
+        "case": case,
         "joins": joins,
+        "nodes": len(world.nodes),
         "offers": len(offers),
         "enumerated": new_result.enumerated,
         "seed_s": seed_s,
@@ -106,10 +124,27 @@ def bench_buyer_plangen(world, joins: int = 5) -> dict:
     }
 
 
+def bench_buyer_cases(world) -> list[dict]:
+    twelve = build_world(
+        nodes=6, n_relations=13, fragments=2, replicas=2, seed=7
+    )
+    chain32 = build_world(nodes=32, n_relations=9, fragments=2, replicas=2)
+    return [
+        bench_buyer_plangen(world, "buyer-plangen-5-joins", 5),
+        # The golden 12-join setup (tests/test_golden.py): IDP sellers
+        # keep offer generation cheap.
+        bench_buyer_plangen(
+            twelve, "buyer-plangen-12-joins", 12,
+            optimizer=IDPOptimizer(twelve.builder), use_offer_cache=False,
+        ),
+        bench_buyer_plangen(chain32, "buyer-plangen-8-joins-32-nodes", 8),
+    ]
+
+
 def main() -> None:
     world = build_world(nodes=8, n_relations=11)
     cases = bench_seller_dp(world)
-    cases.append(bench_buyer_plangen(world))
+    cases.extend(bench_buyer_cases(world))
     eight_join = next(c for c in cases if c["case"] == "seller-dp-8-joins")
     envelope = bench_envelope()
     payload = {
@@ -123,14 +158,21 @@ def main() -> None:
         "eight_join_speedup": eight_join["speedup"],
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    speedups = {c["case"]: c["speedup"] for c in cases}
     history(REPO_ROOT).append(
         "enumeration",
-        {"eight_join_speedup": eight_join["speedup"]},
+        {
+            "eight_join_speedup": eight_join["speedup"],
+            "buyer_12_join_speedup": speedups["buyer-plangen-12-joins"],
+            "buyer_8_join_32_node_speedup": speedups[
+                "buyer-plangen-8-joins-32-nodes"
+            ],
+        },
         envelope=envelope,
     )
     for case in cases:
         print(
-            f"{case['case']:>24}: seed {case['seed_s'] * 1e3:8.2f} ms  "
+            f"{case['case']:>30}: seed {case['seed_s'] * 1e3:8.2f} ms  "
             f"new {case['new_s'] * 1e3:8.2f} ms  "
             f"speedup {case['speedup']:5.1f}x"
         )

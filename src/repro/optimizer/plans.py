@@ -20,7 +20,7 @@ born with consistent estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.cost.estimator import CardinalityEstimator
 from repro.cost.model import CostModel, NodeCapabilities
@@ -38,6 +38,7 @@ __all__ = [
     "Sort",
     "Transfer",
     "Purchased",
+    "JoinEstimate",
     "PlanBuilder",
 ]
 
@@ -55,6 +56,12 @@ class Plan:
         init=False, default=None, repr=False, compare=False
     )
     _work_time: float | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
+    _leaves: tuple["Plan", ...] | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
+    _purchase_totals: tuple[float, float] | None = field(
         init=False, default=None, repr=False, compare=False
     )
 
@@ -106,12 +113,41 @@ class Plan:
         return 1 + sum(c.operator_count() for c in self.children)
 
     def leaves(self) -> tuple["Plan", ...]:
-        if not self.children:
+        """Leaf operators, left to right (memoized on inner nodes; a
+        leaf is not, since caching ``(self,)`` would make it a cycle)."""
+        cached = self._leaves
+        if cached is not None:
+            return cached
+        children = self.children
+        if not children:
             return (self,)
         out: list[Plan] = []
-        for child in self.children:
+        for child in children:
             out.extend(child.leaves())
-        return tuple(out)
+        value = tuple(out)
+        object.__setattr__(self, "_leaves", value)
+        return value
+
+    def purchase_totals(self) -> tuple[float, float]:
+        """``(money, freshness)`` over the :class:`Purchased` leaves.
+
+        Money is folded left to right in leaf order with an explicit
+        loop: ``sum()`` over floats is compensated from Python 3.12 on
+        and would move the low bits.  Freshness is the weakest purchased
+        input.  Memoized.
+        """
+        cached = self._purchase_totals
+        if cached is not None:
+            return cached
+        money = 0.0
+        freshness = 1.0
+        for leaf in self.leaves():
+            if isinstance(leaf, Purchased):
+                money += leaf.money
+                freshness = min(freshness, leaf.freshness)
+        value = (money, freshness)
+        object.__setattr__(self, "_purchase_totals", value)
+        return value
 
     def explain(self, indent: int = 0) -> str:
         pad = "  " * indent
@@ -285,6 +321,15 @@ class Purchased(Plan):
         )
 
 
+class JoinEstimate(NamedTuple):
+    """A split's join selectivity, whether it is an equi-join, and its
+    condition (see :meth:`PlanBuilder.join_estimate`)."""
+
+    selectivity: float
+    equi: bool
+    condition: Expr
+
+
 class PlanBuilder:
     """Factory producing cost-annotated plans.
 
@@ -366,9 +411,21 @@ class PlanBuilder:
         hash join when an equi-join conjunct is available, otherwise a
         nested-loop join.
         """
-        site = site or left.site
-        left = self.collocate(left, site)
-        right = self.collocate(right, site)
+        return self.join_on(
+            left,
+            right,
+            self.join_estimate(conjuncts, alias_to_relation),
+            site or left.site,
+        )
+
+    def join_estimate(
+        self, conjuncts: Sequence[Expr], alias_to_relation: Mapping[str, str]
+    ) -> JoinEstimate:
+        """The input-independent part of a join on *conjuncts*.
+
+        Callers joining many input pairs across the same split (the
+        buyer DP) compute it once and pass it to :meth:`join_on`.
+        """
         selectivity = 1.0
         equi = False
         for conjunct in conjuncts:
@@ -382,9 +439,17 @@ class PlanBuilder:
                 selectivity *= self.estimator.selectivity(
                     conjunct, alias_to_relation
                 )
+        return JoinEstimate(selectivity, equi, conjoin(conjuncts))
+
+    def join_on(
+        self, left: Plan, right: Plan, estimate: JoinEstimate, site: str
+    ) -> Plan:
+        """Join two sub-plans at *site* under a precomputed estimate."""
+        left = self.collocate(left, site)
+        right = self.collocate(right, site)
+        selectivity, equi, condition = estimate
         rows = left.rows * right.rows * selectivity
         caps = self.caps(site)
-        condition = conjoin(conjuncts)
         if equi:
             op_time = self.cost_model.hash_join(
                 left.rows, right.rows, rows, caps

@@ -11,7 +11,10 @@ them outside tests and benchmarks.
 
 from __future__ import annotations
 
-from itertools import combinations
+import heapq
+from dataclasses import dataclass
+from itertools import combinations, count
+from typing import Mapping
 
 from repro.optimizer.dp import (
     DPResult,
@@ -21,9 +24,10 @@ from repro.optimizer.dp import (
     subset_connected,
 )
 from repro.optimizer.greedy import greedy_join
-from repro.optimizer.plans import Plan, PlanBuilder
+from repro.optimizer.plans import Plan, PlanBuilder, Purchased
 from repro.sql.expr import TRUE, conjoin, implies
 from repro.sql.query import SPJQuery
+from repro.trading.commodity import AnswerProperties, CoverageKey, coverage_key
 
 __all__ = [
     "ReferenceDynamicProgrammingOptimizer",
@@ -203,148 +207,375 @@ def _maximal_disjoint_cover(
     return chosen
 
 
+# ----------------------------------------------------------------------
+# The buyer plan generator before packed coverage: frozenset rectangles,
+# pairwise union scans, and scores recomputed from a fresh leaf walk on
+# every comparison.  Self-contained on purpose, so the byte-identity test
+# also covers the helpers the production generator rewrote.
+# ----------------------------------------------------------------------
+RAW = "raw"
+FINAL = "final"
+
+
+@dataclass
+class _Entry:
+    plan: Plan
+    coverage: dict[str, frozenset[int]]
+    form: str  # RAW or FINAL
+    complete: bool = False  # covers every required fragment of its aliases
+    _key_memo: tuple[CoverageKey, str] | None = None
+
+    def key(self) -> tuple[CoverageKey, str]:
+        if self._key_memo is None:
+            self._key_memo = (coverage_key(self.coverage), self.form)
+        return self._key_memo
+
+
+def _leaves(plan: Plan) -> list[Plan]:
+    """Leaves left to right by a fresh walk (not :meth:`Plan.leaves`)."""
+    if not plan.children:
+        return [plan]
+    out: list[Plan] = []
+    for child in plan.children:
+        out.extend(_leaves(child))
+    return out
+
+
+def _plan_properties(plan: Plan) -> AnswerProperties:
+    money = 0.0
+    freshness = 1.0
+    for leaf in _leaves(plan):
+        if isinstance(leaf, Purchased):
+            money += leaf.money
+            freshness = min(freshness, leaf.freshness)
+    return AnswerProperties(
+        total_time=plan.response_time(),
+        rows=plan.rows,
+        money=money,
+        freshness=freshness,
+    )
+
+
+def _is_complete(
+    coverage: Mapping[str, frozenset[int]],
+    required: Mapping[str, frozenset[int]],
+) -> bool:
+    return all(coverage[alias] >= required[alias] for alias in coverage)
+
+
+def _union_coverage(
+    a: Mapping[str, frozenset[int]],
+    b: Mapping[str, frozenset[int]],
+) -> tuple[str, dict[str, frozenset[int]]] | None:
+    """``(differing_alias, merged_rectangle)`` if *a* and *b* differ on
+    exactly one alias with disjoint fragment sets there; ``None``
+    otherwise."""
+    if a.keys() != b.keys():
+        return None
+    differing: str | None = None
+    for alias in a:
+        if a[alias] != b[alias]:
+            if differing is not None:
+                return None
+            differing = alias
+    if differing is None:
+        return None
+    if a[differing] & b[differing]:
+        return None
+    merged = dict(a)
+    merged[differing] = a[differing] | b[differing]
+    return differing, merged
+
+
 def reference_buyer_generate(generator, query, offers):
-    """The original frozenset-keyed buyer plan-generation DP.
+    """The frozenset-keyed buyer plan-generation DP.
 
-    Runs the pre-rewire enumeration loop against *generator*'s own
-    builder, valuation, and key-agnostic bucket helpers, returning a
-    :class:`repro.trading.buyer.PlanGenResult` for equivalence testing.
+    Reads only *generator*'s configuration (builder, site, valuation,
+    mode and caps) plus its ``required_coverage`` and ``_finish``, and
+    returns a :class:`repro.trading.buyer.PlanGenResult` for equivalence
+    testing.
     """
-    from repro.trading.buyer import (
-        FINAL,
-        RAW,
-        PlanGenResult,
-        _Entry,
-        _is_complete,
-    )
+    return _ReferenceBuyer(generator).generate(query, offers)
 
-    aliases = frozenset(query.aliases)
-    alias_to_relation = {r.alias: r.name for r in query.relations}
-    required = generator.required_coverage(query)
-    if any(not fids for fids in required.values()):
-        return PlanGenResult(best=None)
-    conjuncts = query.predicate.conjuncts()
-    enumerated = 0
 
-    needs_final_shape = (
-        query.has_aggregates or query.group_by or query.distinct
-    )
-    subsets: dict[frozenset[str], dict[tuple, _Entry]] = {}
-    for offer in offers:
-        if not offer.aliases or not offer.aliases <= aliases:
-            continue
-        coverage = {
-            alias: frozenset(fids) & required[alias]
-            for alias, fids in offer.coverage.items()
-        }
-        if any(not fids for fids in coverage.values()):
-            continue
-        form = RAW
-        if (
-            needs_final_shape
-            and offer.exact_projections
-            and offer.aliases == aliases
-            and set(offer.query.projections) == set(query.projections)
-            and set(offer.query.group_by) == set(query.group_by)
-        ):
-            form = FINAL
-        plan = generator.builder.purchased(
-            offer.query,
-            offer.seller,
-            rows=offer.properties.rows,
-            total_time=offer.properties.total_time,
-            coverage=coverage,
-            buyer_site=generator.buyer_site,
-            offer_id=offer.offer_id,
-            money=offer.properties.money,
-            freshness=offer.properties.freshness,
+class _ReferenceBuyer:
+    def __init__(self, generator):
+        self.generator = generator
+        self.builder = generator.builder
+        self.buyer_site = generator.buyer_site
+        self.valuation = generator.valuation
+        self.mode = generator.mode
+        self.idp_m = generator.idp_m
+        self.max_entries_per_subset = generator.max_entries_per_subset
+        self.max_join_fanin = generator.max_join_fanin
+        self.union_budget = generator.union_budget
+
+    def generate(self, query, offers):
+        from repro.trading.buyer import CandidatePlan, PlanGenResult
+
+        generator = self.generator
+        aliases = frozenset(query.aliases)
+        alias_to_relation = {r.alias: r.name for r in query.relations}
+        required = generator.required_coverage(query)
+        if any(not fids for fids in required.values()):
+            return PlanGenResult(best=None)
+        conjuncts = query.predicate.conjuncts()
+        enumerated = 0
+
+        needs_final_shape = (
+            query.has_aggregates or query.group_by or query.distinct
         )
-        entry = _Entry(
+        subsets: dict[frozenset[str], dict[tuple, _Entry]] = {}
+        for offer in offers:
+            if not offer.aliases or not offer.aliases <= aliases:
+                continue
+            coverage = {
+                alias: frozenset(fids) & required[alias]
+                for alias, fids in offer.coverage.items()
+            }
+            if any(not fids for fids in coverage.values()):
+                continue
+            form = RAW
+            if (
+                needs_final_shape
+                and offer.exact_projections
+                and offer.aliases == aliases
+                and set(offer.query.projections) == set(query.projections)
+                and set(offer.query.group_by) == set(query.group_by)
+            ):
+                form = FINAL
+            plan = self.builder.purchased(
+                offer.query,
+                offer.seller,
+                rows=offer.properties.rows,
+                total_time=offer.properties.total_time,
+                coverage=coverage,
+                buyer_site=self.buyer_site,
+                offer_id=offer.offer_id,
+                money=offer.properties.money,
+                freshness=offer.properties.freshness,
+            )
+            entry = _Entry(
+                plan=plan,
+                coverage=coverage,
+                form=form,
+                complete=_is_complete(coverage, required),
+            )
+            self._add_entry(subsets, offer.aliases, entry)
+            enumerated += 1
+
+        for subset in list(subsets):
+            enumerated += self._union_closure(subsets, subset, query, required)
+
+        members = sorted(aliases)
+        query_connected = subset_connected(aliases, conjuncts)
+        for size in range(2, len(members) + 1):
+            for combo in combinations(members, size):
+                subset = frozenset(combo)
+                connected = subset_connected(subset, conjuncts)
+                if query_connected and not connected:
+                    continue
+                anchor = min(subset)
+                allow_cross = not connected
+                for split_size in range(1, size // 2 + 1):
+                    for left_combo in combinations(sorted(subset), split_size):
+                        left = frozenset(left_combo)
+                        right = subset - left
+                        if size == 2 * split_size and anchor not in left:
+                            continue
+                        left_entries = subsets.get(left)
+                        right_entries = subsets.get(right)
+                        if not left_entries or not right_entries:
+                            continue
+                        connecting = connecting_conjuncts(
+                            conjuncts, left, right
+                        )
+                        if not connecting and not allow_cross:
+                            continue
+                        for le in self._join_participants(left_entries):
+                            for re_ in self._join_participants(right_entries):
+                                joined = self.builder.join(
+                                    le.plan,
+                                    re_.plan,
+                                    connecting,
+                                    alias_to_relation,
+                                    site=self.buyer_site,
+                                )
+                                enumerated += 1
+                                coverage = {**le.coverage, **re_.coverage}
+                                entry = _Entry(
+                                    plan=joined,
+                                    coverage=coverage,
+                                    form=RAW,
+                                    complete=_is_complete(coverage, required),
+                                )
+                                self._add_entry(subsets, subset, entry)
+                enumerated += self._union_closure(
+                    subsets, subset, query, required
+                )
+                self._prune(subsets, subset)
+            if self.mode == "idp" and size == 2:
+                self._idp_prune(subsets, size)
+
+        candidates = []
+        for entry in subsets.get(aliases, {}).values():
+            if not entry.complete:
+                continue
+            plan = entry.plan
+            if entry.form == RAW:
+                plan = generator._finish(query, plan, alias_to_relation)
+            elif query.order_by:
+                plan = self.builder.sort(
+                    self.builder.collocate(plan, self.buyer_site),
+                    query.order_by,
+                )
+            properties = _plan_properties(plan)
+            candidates.append(
+                CandidatePlan(
+                    plan=plan,
+                    properties=properties,
+                    value=self.valuation(properties),
+                )
+            )
+        candidates.sort(key=lambda c: c.value)
+        best = candidates[0] if candidates else None
+        return PlanGenResult(
+            best=best, candidates=candidates, enumerated=enumerated
+        )
+
+    def _entry_score(self, entry: _Entry) -> float:
+        return self.valuation(_plan_properties(entry.plan))
+
+    def _add_entry(self, subsets, subset, entry: _Entry) -> bool:
+        bucket = subsets.setdefault(subset, {})
+        key = entry.key()
+        current = bucket.get(key)
+        if current is None or self._entry_score(entry) < self._entry_score(
+            current
+        ):
+            bucket[key] = entry
+            return True
+        return False
+
+    def _join_participants(self, bucket) -> list[_Entry]:
+        raws = [e for e in bucket.values() if e.form == RAW]
+        raws.sort(key=lambda e: (not e.complete, self._entry_score(e)))
+        return raws[: self.max_join_fanin]
+
+    def _union_closure(self, subsets, subset, query, required) -> int:
+        bucket = subsets.get(subset)
+        if not bucket or len(bucket) < 2:
+            return 0
+        enumerated = 0
+        counter = count()
+        heap: list[tuple[float, int, _Entry]] = [
+            (self._entry_score(e), next(counter), e) for e in bucket.values()
+        ]
+        heapq.heapify(heap)
+        pops = 0
+        while heap and pops < self.union_budget:
+            _cost, _seq, a = heapq.heappop(heap)
+            if bucket.get(a.key()) is not a:
+                continue  # evicted or superseded
+            pops += 1
+            for b in list(bucket.values()):
+                if b is a or b.form != a.form:
+                    continue
+                merged = _union_coverage(a.coverage, b.coverage)
+                if merged is None:
+                    continue
+                differing, coverage = merged
+                if min(a.coverage[differing]) > min(b.coverage[differing]):
+                    continue  # canonical orientation only
+                entry = self._union_entry(a, b, coverage, query, required)
+                enumerated += 1
+                if self._add_entry(subsets, subset, entry):
+                    heapq.heappush(
+                        heap,
+                        (self._entry_score(entry), next(counter), entry),
+                    )
+            if len(bucket) > self.max_entries_per_subset * 4:
+                self._prune(
+                    subsets, subset, cap=self.max_entries_per_subset * 2
+                )
+                bucket = subsets[subset]
+        enumerated += self._greedy_complete(subsets, subset, query, required)
+        return enumerated
+
+    def _union_entry(self, a, b, coverage, query, required) -> _Entry:
+        distinct = a.form == FINAL and query.distinct
+        plan = self.builder.union(
+            [a.plan, b.plan], self.buyer_site, distinct=distinct
+        )
+        return _Entry(
             plan=plan,
             coverage=coverage,
-            form=form,
+            form=a.form,
             complete=_is_complete(coverage, required),
         )
-        generator._add_entry(subsets, offer.aliases, entry)
-        enumerated += 1
 
-    for subset in list(subsets):
-        enumerated += generator._union_closure(subsets, subset, query, required)
-
-    members = sorted(aliases)
-    query_connected = subset_connected(aliases, conjuncts)
-    for size in range(2, len(members) + 1):
-        for combo in combinations(members, size):
-            subset = frozenset(combo)
-            connected = subset_connected(subset, conjuncts)
-            if query_connected and not connected:
+    def _greedy_complete(self, subsets, subset, query, required) -> int:
+        bucket = subsets.get(subset)
+        if not bucket:
+            return 0
+        enumerated = 0
+        for form in (RAW, FINAL):
+            if any(e.complete for e in bucket.values() if e.form == form):
                 continue
-            anchor = min(subset)
-            allow_cross = not connected
-            for split_size in range(1, size // 2 + 1):
-                for left_combo in combinations(sorted(subset), split_size):
-                    left = frozenset(left_combo)
-                    right = subset - left
-                    if size == 2 * split_size and anchor not in left:
-                        continue
-                    left_entries = subsets.get(left)
-                    right_entries = subsets.get(right)
-                    if not left_entries or not right_entries:
-                        continue
-                    connecting = connecting_conjuncts(conjuncts, left, right)
-                    if not connecting and not allow_cross:
-                        continue
-                    for le in generator._join_participants(left_entries):
-                        for re_ in generator._join_participants(right_entries):
-                            joined = generator.builder.join(
-                                le.plan,
-                                re_.plan,
-                                connecting,
-                                alias_to_relation,
-                                site=generator.buyer_site,
-                            )
-                            enumerated += 1
-                            coverage = {**le.coverage, **re_.coverage}
-                            entry = _Entry(
-                                plan=joined,
-                                coverage=coverage,
-                                form=RAW,
-                                complete=_is_complete(coverage, required),
-                            )
-                            generator._add_entry(subsets, subset, entry)
-            enumerated += generator._union_closure(subsets, subset, query, required)
-            generator._prune(subsets, subset)
-        if generator.mode == "idp" and size == 2:
-            _reference_idp_prune(generator, subsets, size)
-
-    candidates = []
-    for entry in subsets.get(aliases, {}).values():
-        if not entry.complete:
-            continue
-        plan = entry.plan
-        if entry.form == RAW:
-            plan = generator._finish(query, plan, alias_to_relation)
-        elif query.order_by:
-            plan = generator.builder.sort(
-                generator.builder.collocate(plan, generator.buyer_site),
-                query.order_by,
+            pieces = sorted(
+                (e for e in bucket.values() if e.form == form),
+                key=self._entry_score,
             )
-        candidates.append(generator._candidate(plan))
-    candidates.sort(key=lambda c: c.value)
-    best = candidates[0] if candidates else None
-    return PlanGenResult(best=best, candidates=candidates, enumerated=enumerated)
+            if not pieces:
+                continue
+            for seed in pieces[:4]:
+                current = seed
+                stuck = False
+                while not current.complete and not stuck:
+                    stuck = True
+                    for piece in pieces:
+                        merged = _union_coverage(
+                            current.coverage, piece.coverage
+                        )
+                        if merged is None:
+                            continue
+                        _differing, coverage = merged
+                        current = self._union_entry(
+                            current, piece, coverage, query, required
+                        )
+                        enumerated += 1
+                        stuck = False
+                        break
+                if current.complete:
+                    self._add_entry(subsets, subset, current)
+                    break
+        return enumerated
 
+    def _prune(self, subsets, subset, cap: int | None = None) -> None:
+        cap = cap if cap is not None else self.max_entries_per_subset
+        bucket = subsets.get(subset)
+        if not bucket or len(bucket) <= cap:
+            return
+        complete = {k: e for k, e in bucket.items() if e.complete}
+        incomplete = sorted(
+            (item for item in bucket.items() if not item[1].complete),
+            key=lambda kv: self._entry_score(kv[1]),
+        )
+        room = max(0, cap - len(complete))
+        kept = dict(complete)
+        kept.update(dict(incomplete[:room]))
+        subsets[subset] = kept
 
-def _reference_idp_prune(generator, subsets, size: int) -> None:
-    level = [
-        (subset, key, entry)
-        for subset, bucket in subsets.items()
-        if len(subset) == size
-        for key, entry in bucket.items()
-        if not entry.complete
-    ]
-    if len(level) <= generator.idp_m:
-        return
-    level.sort(key=lambda item: generator._entry_score(item[2]))
-    for subset, key, _entry in level[generator.idp_m :]:
-        del subsets[subset][key]
+    def _idp_prune(self, subsets, size: int) -> None:
+        level = [
+            (subset, key, entry)
+            for subset, bucket in subsets.items()
+            if len(subset) == size
+            for key, entry in bucket.items()
+            if not entry.complete
+        ]
+        if len(level) <= self.idp_m:
+            return
+        level.sort(key=lambda item: self._entry_score(item[2]))
+        for subset, key, _entry in level[self.idp_m :]:
+            del subsets[subset][key]

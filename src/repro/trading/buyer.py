@@ -23,6 +23,24 @@ The buyer-side DP can also run in IDP-M(2, m) mode ("after evaluating all
 2-way join sub-plans, it keeps the best five of them"), the paper's
 scalable variant.
 
+**Data structures.**  Alias subsets are :class:`JoinGraph` bitmasks, and
+a rectangle is one ``int`` too (:class:`_CoverageLayout`): alias ``i``
+owns a fragment bit field at the alias's graph bit position.  An
+entry's bucket key is ``(cov, form)``; a join's coverage is the OR of
+its sides'; an entry is complete when ``cov`` equals the required
+coverage on its aliases' fields.  Two entries union when ``a ^ b`` lies
+in one alias field where both are non-empty and disjoint; canonical
+orientation puts the side whose lowest set bit in that field is lower
+on the left.  Union closure finds partners through a
+:class:`_PartnerIndex` keyed by ``(form, cov with one field cleared)``
+rather than by scanning bucket pairs.  Partners are visited in the
+bucket's insertion order as it stood at each pop, which the strict
+``<`` replacement and the heap sequence numbers depend on.  Entries are immutable, so each is scored
+once; plan nodes memoize their leaves and purchased money/freshness.
+The frozenset-based original lives on in
+:func:`repro.optimizer.reference.reference_buyer_generate`, and tests
+hold the two byte-identical.
+
 **The predicates analyser** enriches the next round's query set Q: it
 asks the market for the *complements* of partially covered relations,
 de-overlaps redundant offers (the paper's union-redundancy example), and
@@ -42,12 +60,7 @@ from repro.optimizer.plans import Plan, PlanBuilder, Purchased
 from repro.sql.expr import Expr, TRUE, conjoin, restriction_overlaps
 from repro.sql.query import Aggregate, SPJQuery
 from repro.sql.schema import PartitionScheme
-from repro.trading.commodity import (
-    AnswerProperties,
-    CoverageKey,
-    Offer,
-    coverage_key as _coverage_key,
-)
+from repro.trading.commodity import AnswerProperties, Offer
 from repro.trading.valuation import Valuation, WeightedValuation
 
 __all__ = [
@@ -61,20 +74,153 @@ RAW = "raw"
 FINAL = "final"
 
 
-@dataclass
-class _Entry:
-    plan: Plan
-    coverage: dict[str, frozenset[int]]
-    form: str  # RAW or FINAL
-    complete: bool = False  # covers every required fragment of its aliases
-    _key_memo: tuple[CoverageKey, str] | None = None
+class _CoverageLayout:
+    """One query's fragment rectangles packed into ints.
 
-    def key(self) -> tuple[CoverageKey, str]:
-        # Coverage dicts are never mutated after construction (merges
-        # build fresh dicts), so the sorted key is computed once.
-        if self._key_memo is None:
-            self._key_memo = (_coverage_key(self.coverage), self.form)
-        return self._key_memo
+    Alias ``i`` (its :class:`JoinGraph` bit position) owns the bit field
+    ``[i * width, (i + 1) * width)``, and fragment ``f`` of that alias
+    is bit ``i * width + f``.  ``required`` is the packed required
+    coverage of every alias.
+    """
+
+    __slots__ = ("fields", "required", "_offsets", "_fields_of", "_targets")
+
+    def __init__(
+        self,
+        aliases: Sequence[str],
+        required: Mapping[str, Iterable[int]],
+    ):
+        width = max(max(fids) for fids in required.values()) + 1
+        self._offsets = {alias: i * width for i, alias in enumerate(aliases)}
+        ones = (1 << width) - 1
+        self.fields = tuple(ones << (i * width) for i in range(len(aliases)))
+        self.required = self.pack(required)
+        self._fields_of: dict[int, tuple[int, ...]] = {}
+        self._targets: dict[int, int] = {}
+
+    def pack(self, coverage: Mapping[str, Iterable[int]]) -> int:
+        cov = 0
+        offsets = self._offsets
+        for alias, fids in coverage.items():
+            offset = offsets[alias]
+            for fid in fids:
+                cov |= 1 << (offset + fid)
+        return cov
+
+    def fields_of(self, mask: int) -> tuple[int, ...]:
+        """The bit fields of the aliases in alias-subset *mask*."""
+        cached = self._fields_of.get(mask)
+        if cached is None:
+            cached = tuple(
+                span for i, span in enumerate(self.fields) if mask >> i & 1
+            )
+            self._fields_of[mask] = cached
+        return cached
+
+    def target(self, mask: int) -> int:
+        """The coverage a *complete* entry over *mask* has."""
+        cached = self._targets.get(mask)
+        if cached is None:
+            span = 0
+            for alias_field in self.fields_of(mask):
+                span |= alias_field
+            cached = self._targets[mask] = self.required & span
+        return cached
+
+
+class _Entry:
+    """A plan over one alias subset's fragment rectangle.
+
+    Immutable once built, so its valuation score is computed once.
+    """
+
+    __slots__ = ("plan", "cov", "form", "complete", "score", "key")
+
+    def __init__(
+        self, plan: Plan, cov: int, form: str, complete: bool, score: float
+    ):
+        self.plan = plan
+        self.cov = cov  # packed coverage (see _CoverageLayout)
+        self.form = form  # RAW or FINAL
+        self.complete = complete  # covers every required fragment
+        self.score = score
+        self.key = (cov, form)
+
+
+class _PartnerIndex:
+    """Union partners of a bucket's entries, without a pair scan.
+
+    Groups entry keys by ``(form, coverage with one alias field
+    cleared)``: two entries are unionable exactly when they share a
+    group and are disjoint on its cleared field.  A key joins only the
+    groups of fields it does not yet cover completely (coverage there
+    short of *target*'s): a complete field already holds every required
+    fragment, so no rectangle is disjoint from it.  Keys are ranked in
+    the order they were added, which callers make the bucket's insertion
+    order (union closure) or score order (greedy completion).
+    """
+
+    __slots__ = ("entries", "_fields", "_rank", "_groups")
+
+    def __init__(
+        self,
+        entries: dict[tuple, _Entry],
+        fields: tuple[int, ...],
+        target: int,
+    ):
+        self.entries = entries
+        self._fields = tuple((span, target & span) for span in fields)
+        self._rank: dict[tuple, int] = {}
+        self._groups: dict[str, dict[int, list[tuple]]] = {RAW: {}, FINAL: {}}
+        for key in entries:
+            self.add(key)
+
+    def add(self, key: tuple) -> None:
+        """Index a key newly inserted into :attr:`entries`."""
+        rank = self._rank
+        if key in rank:
+            return  # a replacement keeps its key's place
+        rank[key] = len(rank)
+        cov, form = key
+        groups = self._groups[form]
+        for span, complete in self._fields:
+            if cov & span == complete:
+                continue
+            group = groups.get(cov & ~span)
+            if group is None:
+                groups[cov & ~span] = [key]
+            else:
+                group.append(key)
+
+    def partners(self, cov: int, form: str, oriented: bool) -> list[_Entry]:
+        """Entries of *form* unionable with rectangle *cov*, in rank order.
+
+        A partner agrees with *cov* outside one alias field and, inside
+        it, is non-empty and disjoint from *cov*: join distributes over
+        union only then (identical rectangles would double-count rows,
+        overlapping ones duplicate them).  The merged rectangle is
+        ``cov | partner.cov``.  With *oriented*, only partners whose
+        lowest fragment on that field lies above *cov*'s are returned:
+        canonical orientation builds each merged rectangle once.
+        """
+        found = []
+        rank = self._rank
+        groups = self._groups[form]
+        for span, complete in self._fields:
+            own = cov & span
+            if own == complete:
+                continue
+            low = own & -own
+            for key in groups.get(cov & ~span, ()):
+                other = key[0] & span
+                if not other or other & own:
+                    continue
+                if oriented and other & -other < low:
+                    continue
+                found.append((rank[key], key))
+        found.sort()
+        entries = self.entries
+        return [entries[key] for _rank, key in found]
 
 
 @dataclass(frozen=True)
@@ -180,6 +326,7 @@ class BuyerPlanGenerator:
             return PlanGenResult(best=None)  # unsatisfiable selection
         conjuncts = query.predicate.conjuncts()
         graph = JoinGraph(aliases, conjuncts)
+        layout = _CoverageLayout(graph.aliases, required)
         enumerated = 0
 
         # Seed entries from offers.  An entry is FINAL only when the
@@ -220,18 +367,17 @@ class BuyerPlanGenerator:
                 money=offer.properties.money,
                 freshness=offer.properties.freshness,
             )
-            entry = _Entry(
-                plan=plan,
-                coverage=coverage,
-                form=form,
-                complete=_is_complete(coverage, required),
+            mask = graph.mask_of(offer.aliases)
+            cov = layout.pack(coverage)
+            self._add_entry(
+                subsets.setdefault(mask, {}),
+                self._entry(plan, cov, form, cov == layout.target(mask)),
             )
-            self._add_entry(subsets, graph.mask_of(offer.aliases), entry)
             enumerated += 1
 
         # Union closure at seed level.
         for subset in list(subsets):
-            enumerated += self._union_closure(subsets, subset, query, required)
+            enumerated += self._union_closure(subsets, subset, layout, query)
 
         # Join DP over alias subsets.  For connected queries, only
         # connected subsets are enumerated (cross-product avoidance); when
@@ -243,7 +389,7 @@ class BuyerPlanGenerator:
                 size, connected_only=query_connected
             ):
                 enumerated += self._level_block(
-                    subsets, mask, graph, query, required,
+                    subsets, mask, graph, layout, query,
                     alias_to_relation, query_connected,
                 )
             if self.mode == "idp" and size == 2:
@@ -273,8 +419,8 @@ class BuyerPlanGenerator:
         subsets: dict[int, dict[tuple, _Entry]],
         mask: int,
         graph: JoinGraph,
+        layout: _CoverageLayout,
         query: SPJQuery,
-        required: Mapping[str, frozenset[int]],
         alias_to_relation: Mapping[str, str],
         query_connected: bool,
     ) -> int:
@@ -284,6 +430,9 @@ class BuyerPlanGenerator:
         """
         enumerated = 0
         allow_cross = not (query_connected or graph.connected(mask))
+        builder = self.builder
+        site = self.buyer_site
+        bucket = subsets.setdefault(mask, {})
         for left, right in graph.splits(mask):
             left_entries = subsets.get(left)
             right_entries = subsets.get(right)
@@ -292,25 +441,24 @@ class BuyerPlanGenerator:
             connecting = graph.connecting(left, right)
             if not connecting and not allow_cross:
                 continue
+            estimate = builder.join_estimate(connecting, alias_to_relation)
+            rights = self._join_participants(right_entries)
             for le in self._join_participants(left_entries):
-                for re_ in self._join_participants(right_entries):
-                    joined = self.builder.join(
-                        le.plan,
-                        re_.plan,
-                        connecting,
-                        alias_to_relation,
-                        site=self.buyer_site,
-                    )
+                for re_ in rights:
+                    joined = builder.join_on(le.plan, re_.plan, estimate, site)
                     enumerated += 1
-                    coverage = {**le.coverage, **re_.coverage}
-                    entry = _Entry(
-                        plan=joined,
-                        coverage=coverage,
-                        form=RAW,
-                        complete=_is_complete(coverage, required),
+                    # Joined rectangles span disjoint aliases, so the
+                    # join is complete exactly when both sides are.
+                    self._add_entry(
+                        bucket,
+                        self._entry(
+                            joined,
+                            le.cov | re_.cov,
+                            RAW,
+                            le.complete and re_.complete,
+                        ),
                     )
-                    self._add_entry(subsets, mask, entry)
-        enumerated += self._union_closure(subsets, mask, query, required)
+        enumerated += self._union_closure(subsets, mask, layout, query)
         self._prune(subsets, mask)
         return enumerated
 
@@ -321,15 +469,18 @@ class BuyerPlanGenerator:
             plan=plan, properties=properties, value=self.valuation(properties)
         )
 
-    def _entry_score(self, entry: "_Entry") -> float:
-        """Valuation-driven ranking of competing entries.
+    def _entry(
+        self, plan: Plan, cov: int, form: str, complete: bool
+    ) -> _Entry:
+        """Build an entry scored under the buyer's valuation.
 
         Entries with identical coverage may come from different sellers
         (replicas) with different prices and freshness; ranking them
         under the buyer's own valuation keeps e.g. staleness-averse
         buyers from locking in cheap-but-stale purchases during plan
         generation."""
-        return self.valuation(_plan_properties(entry.plan))
+        score = self.valuation(_plan_properties(plan))
+        return _Entry(plan, cov, form, complete, score)
 
     def _finish(
         self,
@@ -354,21 +505,14 @@ class BuyerPlanGenerator:
         return plan
 
     # ------------------------------------------------------------------
-    # Bucket helpers.  *subsets* is keyed by alias-subset bitmask in the
-    # production path (see JoinGraph); the helpers never inspect the key,
-    # so the frozenset-keyed reference path reuses them unchanged.
-    def _add_entry(
-        self,
-        subsets: dict[int, dict[tuple, _Entry]],
-        subset: int,
-        entry: _Entry,
-    ) -> bool:
-        bucket = subsets.setdefault(subset, {})
-        key = entry.key()
+    # Bucket helpers.  *subsets* maps an alias-subset bitmask (see
+    # JoinGraph) to its bucket: entries keyed by ``(cov, form)`` in
+    # insertion order, which every tie-break below depends on.
+    @staticmethod
+    def _add_entry(bucket: dict[tuple, _Entry], entry: _Entry) -> bool:
+        key = entry.key
         current = bucket.get(key)
-        if current is None or self._entry_score(entry) < self._entry_score(
-            current
-        ):
+        if current is None or entry.score < current.score:
             bucket[key] = entry
             return True
         return False
@@ -376,125 +520,103 @@ class BuyerPlanGenerator:
     def _join_participants(self, bucket: dict[tuple, _Entry]) -> list[_Entry]:
         """Raw entries worth joining: complete ones first, then cheapest."""
         raws = [e for e in bucket.values() if e.form == RAW]
-        raws.sort(key=lambda e: (not e.complete, self._entry_score(e)))
+        raws.sort(key=lambda e: (not e.complete, e.score))
         return raws[: self.max_join_fanin]
 
     def _union_closure(
         self,
         subsets: dict[int, dict[tuple, _Entry]],
         subset: int,
+        layout: _CoverageLayout,
         query: SPJQuery,
-        required: Mapping[str, frozenset[int]],
     ) -> int:
         """Bounded best-first merging of fragment-rectangle entries.
 
         Cheapest entries are expanded first, orientation is canonical
         (the side with the smaller minimum fragment on the differing
         alias is always the left operand) so each merged rectangle is
-        built once, and the exploration budget caps worst-case work.  A
-        greedy completion pass afterwards guarantees that a *complete*
-        entry exists whenever the bucket's pieces can cover the required
-        fragments at all.
+        built once, and the exploration budget caps worst-case work.
+        Partners come from a :class:`_PartnerIndex`, snapshotted in
+        bucket order at each pop.  A greedy completion pass afterwards
+        guarantees that a *complete* entry exists whenever the bucket's
+        pieces can cover the required fragments at all.
         """
         bucket = subsets.get(subset)
         if not bucket or len(bucket) < 2:
             return 0
+        fields = layout.fields_of(subset)
+        target = layout.target(subset)
         enumerated = 0
         counter = count()
         heap: list[tuple[float, int, _Entry]] = [
-            (self._entry_score(e), next(counter), e) for e in bucket.values()
+            (e.score, next(counter), e) for e in bucket.values()
         ]
         heapq.heapify(heap)
+        index = _PartnerIndex(bucket, fields, target)
         pops = 0
         while heap and pops < self.union_budget:
             _cost, _seq, a = heapq.heappop(heap)
-            if bucket.get(a.key()) is not a:
+            if bucket.get(a.key) is not a:
                 continue  # evicted or superseded
             pops += 1
-            for b in list(bucket.values()):
-                if b is a or b.form != a.form:
-                    continue
-                merged = _union_coverage(a.coverage, b.coverage)
-                if merged is None:
-                    continue
-                differing, coverage = merged
-                if min(a.coverage[differing]) > min(b.coverage[differing]):
-                    continue  # canonical orientation only
-                entry = self._union_entry(a, b, coverage, query, required)
+            for b in index.partners(a.cov, a.form, oriented=True):
+                entry = self._union_entry(a, b, query, target)
                 enumerated += 1
-                if self._add_entry(subsets, subset, entry):
-                    heapq.heappush(
-                        heap,
-                        (self._entry_score(entry), next(counter), entry),
-                    )
+                if self._add_entry(bucket, entry):
+                    index.add(entry.key)
+                    heapq.heappush(heap, (entry.score, next(counter), entry))
             if len(bucket) > self.max_entries_per_subset * 4:
                 self._prune(subsets, subset, cap=self.max_entries_per_subset * 2)
                 bucket = subsets[subset]
-        enumerated += self._greedy_complete(subsets, subset, query, required)
+                index = _PartnerIndex(bucket, fields, target)
+        enumerated += self._greedy_complete(bucket, fields, target, query)
         return enumerated
 
     def _union_entry(
-        self,
-        a: _Entry,
-        b: _Entry,
-        coverage: dict[str, frozenset[int]],
-        query: SPJQuery,
-        required: Mapping[str, frozenset[int]],
+        self, a: _Entry, b: _Entry, query: SPJQuery, target: int
     ) -> _Entry:
         distinct = a.form == FINAL and query.distinct
         plan = self.builder.union(
             [a.plan, b.plan], self.buyer_site, distinct=distinct
         )
-        return _Entry(
-            plan=plan,
-            coverage=coverage,
-            form=a.form,
-            complete=_is_complete(coverage, required),
-        )
+        cov = a.cov | b.cov
+        return self._entry(plan, cov, a.form, cov == target)
 
     def _greedy_complete(
         self,
-        subsets: dict[int, dict[tuple, _Entry]],
-        subset: int,
+        bucket: dict[tuple, _Entry],
+        fields: tuple[int, ...],
+        target: int,
         query: SPJQuery,
-        required: Mapping[str, frozenset[int]],
     ) -> int:
         """Ensure a complete entry exists per form when pieces allow it.
 
         Starting from each of the cheapest seeds, repeatedly merge the
         cheapest unionable entry until complete or stuck.
         """
-        bucket = subsets.get(subset)
-        if not bucket:
-            return 0
         enumerated = 0
         for form in (RAW, FINAL):
             if any(e.complete for e in bucket.values() if e.form == form):
                 continue
             pieces = sorted(
                 (e for e in bucket.values() if e.form == form),
-                key=self._entry_score,
+                key=lambda e: e.score,
             )
             if not pieces:
                 continue
+            index = _PartnerIndex({e.key: e for e in pieces}, fields, target)
             for seed in pieces[:4]:
                 current = seed
-                stuck = False
-                while not current.complete and not stuck:
-                    stuck = True
-                    for piece in pieces:
-                        merged = _union_coverage(current.coverage, piece.coverage)
-                        if merged is None:
-                            continue
-                        _differing, coverage = merged
-                        current = self._union_entry(
-                            current, piece, coverage, query, required
-                        )
-                        enumerated += 1
-                        stuck = False
+                while not current.complete:
+                    partners = index.partners(current.cov, form, oriented=False)
+                    if not partners:
                         break
+                    current = self._union_entry(
+                        current, partners[0], query, target
+                    )
+                    enumerated += 1
                 if current.complete:
-                    self._add_entry(subsets, subset, current)
+                    self._add_entry(bucket, current)
                     break
         return enumerated
 
@@ -519,7 +641,7 @@ class BuyerPlanGenerator:
         complete = {k: e for k, e in bucket.items() if e.complete}
         incomplete = sorted(
             (item for item in bucket.items() if not item[1].complete),
-            key=lambda kv: self._entry_score(kv[1]),
+            key=lambda kv: kv[1].score,
         )
         room = max(0, cap - len(complete))
         kept = dict(complete)
@@ -548,7 +670,7 @@ class BuyerPlanGenerator:
         ]
         if len(level) <= self.idp_m:
             return
-        level.sort(key=lambda item: self._entry_score(item[2]))
+        level.sort(key=lambda item: item[2].score)
         for subset, key, _entry in level[self.idp_m :]:
             del subsets[subset][key]
 
@@ -556,50 +678,13 @@ class BuyerPlanGenerator:
 def _plan_properties(plan: Plan) -> AnswerProperties:
     """Aggregate a plan's answer properties: response time, purchased
     payments summed, freshness as the weakest purchased input."""
-    money = 0.0
-    freshness = 1.0
-    for leaf in plan.leaves():
-        if isinstance(leaf, Purchased):
-            money += leaf.money
-            freshness = min(freshness, leaf.freshness)
+    money, freshness = plan.purchase_totals()
     return AnswerProperties(
         total_time=plan.response_time(),
         rows=plan.rows,
         money=money,
         freshness=freshness,
     )
-
-
-def _is_complete(
-    coverage: Mapping[str, frozenset[int]],
-    required: Mapping[str, frozenset[int]],
-) -> bool:
-    """Does *coverage* include every required fragment of its aliases?"""
-    return all(coverage[alias] >= required[alias] for alias in coverage)
-
-
-def _union_coverage(
-    a: Mapping[str, frozenset[int]],
-    b: Mapping[str, frozenset[int]],
-) -> tuple[str, dict[str, frozenset[int]]] | None:
-    """``(differing_alias, merged_rectangle)`` if *a* and *b* differ on
-    exactly one alias with disjoint fragment sets there; ``None``
-    otherwise.  Join distributes over union only under this condition."""
-    if a.keys() != b.keys():
-        return None
-    differing: str | None = None
-    for alias in a:
-        if a[alias] != b[alias]:
-            if differing is not None:
-                return None
-            differing = alias
-    if differing is None:
-        return None  # identical rectangles: union would double-count
-    if a[differing] & b[differing]:
-        return None  # overlapping fragments: union would duplicate rows
-    merged = dict(a)
-    merged[differing] = a[differing] | b[differing]
-    return differing, merged
 
 
 class BuyerPredicatesAnalyser:
@@ -616,11 +701,24 @@ class BuyerPredicatesAnalyser:
     ) -> list[SPJQuery]:
         """New tradable queries suggested by the current market state."""
         derived: dict[str, SPJQuery] = {}
+        # Many offers share a complement or difference: build each
+        # fragment sub-query once per call (None results included).
+        fragment_queries: dict[
+            tuple[str, frozenset[int]], SPJQuery | None
+        ] = {}
 
         def add(candidate: SPJQuery | None) -> None:
             if candidate is None or candidate.is_unsatisfiable:
                 return
             derived.setdefault(candidate.key(), candidate)
+
+        def add_fragments(alias: str, fragments: frozenset[int]) -> None:
+            key = (alias, fragments)
+            if key not in fragment_queries:
+                fragment_queries[key] = self._fragment_query(
+                    query, alias, fragments
+                )
+            add(fragment_queries[key])
 
         # 1. Complements: for each partially covered alias, ask for the
         #    missing fragments so other sellers can bid on them.
@@ -631,7 +729,7 @@ class BuyerPredicatesAnalyser:
                 missing = required[alias] - fids
                 if not missing or missing == required[alias]:
                     continue
-                add(self._fragment_query(query, alias, missing))
+                add_fragments(alias, missing)
 
         # 2. Per-relation parts: single-relation sub-queries of the
         #    original (lets fragment holders bid even when they returned
@@ -658,9 +756,9 @@ class BuyerPredicatesAnalyser:
                         if not overlap or not (a_only or b_only):
                             continue
                         if a_only:
-                            add(self._fragment_query(query, alias, a_only))
+                            add_fragments(alias, a_only)
                         if b_only:
-                            add(self._fragment_query(query, alias, b_only))
+                            add_fragments(alias, b_only)
 
         # 4. Sort variants: trade the unsorted answer separately.
         if query.order_by:

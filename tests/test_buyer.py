@@ -1,13 +1,18 @@
 """Unit tests for the buyer plan generator and predicates analyser."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.optimizer import reference
 from repro.sql import RelationRef, SPJQuery, column, eq, in_list
 from repro.trading import AnswerProperties, BuyerPlanGenerator, Offer
 from repro.trading.buyer import (
+    FINAL,
+    RAW,
     BuyerPredicatesAnalyser,
-    _is_complete,
-    _union_coverage,
+    _CoverageLayout,
+    _PartnerIndex,
 )
 from repro.workload import chain_query
 from tests.conftest import make_federation
@@ -41,54 +46,96 @@ def offer(
     )
 
 
+FRAGMENTS = frozenset(range(8))
+
+
+def union_check(a, b, oriented=False):
+    """Pack rectangles *a* and *b* (fragments 0-7) and ask the partner
+    index whether *a* unions with *b*: ``(partners, a | b, layout)``."""
+    aliases = sorted(set(a) | set(b))
+    layout = _CoverageLayout(aliases, {alias: FRAGMENTS for alias in aliases})
+    packed_a, packed_b = layout.pack(a), layout.pack(b)
+    index = _PartnerIndex({(packed_b, RAW): "b"}, layout.fields, layout.required)
+    return (
+        index.partners(packed_a, RAW, oriented),
+        packed_a | packed_b,
+        layout,
+    )
+
+
 class TestUnionCoverage:
+    """The packed union predicate, as the partner index answers it."""
+
     def test_merges_single_differing_alias(self):
-        merged = _union_coverage(
-            {"a": frozenset({0}), "b": frozenset({1})},
-            {"a": frozenset({1}), "b": frozenset({1})},
+        partners, merged, layout = union_check(
+            {"a": {0}, "b": {1}}, {"a": {1}, "b": {1}}
         )
-        assert merged is not None
-        alias, coverage = merged
-        assert alias == "a"
-        assert coverage["a"] == frozenset({0, 1})
+        assert partners == ["b"]
+        assert merged == layout.pack({"a": {0, 1}, "b": {1}})
 
     def test_rejects_two_differences(self):
-        assert (
-            _union_coverage(
-                {"a": frozenset({0}), "b": frozenset({0})},
-                {"a": frozenset({1}), "b": frozenset({1})},
-            )
-            is None
+        partners, _merged, _layout = union_check(
+            {"a": {0}, "b": {0}}, {"a": {1}, "b": {1}}
         )
+        assert partners == []
 
     def test_rejects_overlap(self):
-        assert (
-            _union_coverage(
-                {"a": frozenset({0, 1})}, {"a": frozenset({1, 2})}
-            )
-            is None
-        )
+        assert union_check({"a": {0, 1}}, {"a": {1, 2}})[0] == []
 
     def test_rejects_identical(self):
-        assert (
-            _union_coverage({"a": frozenset({0})}, {"a": frozenset({0})})
-            is None
-        )
+        assert union_check({"a": {0}}, {"a": {0}})[0] == []
 
     def test_rejects_different_aliases(self):
-        assert (
-            _union_coverage({"a": frozenset({0})}, {"b": frozenset({0})})
-            is None
+        assert union_check({"a": {0}}, {"b": {0}})[0] == []
+        assert union_check({"a": {0}, "b": {0}}, {"a": {0}})[0] == []
+
+    def test_canonical_orientation(self):
+        assert union_check({"a": {0}}, {"a": {1}}, oriented=True)[0] == ["b"]
+        assert union_check({"a": {1}}, {"a": {0}}, oriented=True)[0] == []
+
+    def test_rejects_other_form(self):
+        layout = _CoverageLayout(["a"], {"a": FRAGMENTS})
+        index = _PartnerIndex(
+            {(layout.pack({"a": {1}}), FINAL): "b"}, layout.fields,
+            layout.required,
         )
+        assert index.partners(layout.pack({"a": {0}}), RAW, False) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_reference(self, data):
+        aliases = [f"a{i}" for i in range(data.draw(st.integers(1, 6)))]
+        fragments = st.frozensets(st.integers(0, 7), min_size=1)
+        a = {alias: data.draw(fragments) for alias in aliases}
+        if data.draw(st.booleans()):
+            # Mostly one differing alias, so unions actually happen.
+            b = dict(a)
+            b[data.draw(st.sampled_from(aliases))] = data.draw(fragments)
+        else:
+            others = data.draw(
+                st.lists(st.sampled_from(aliases), min_size=1, unique=True)
+            )
+            b = {alias: data.draw(fragments) for alias in others}
+        expected = reference._union_coverage(a, b)
+        partners, merged, layout = union_check(a, b)
+        assert (partners == ["b"]) == (expected is not None)
+        if expected is not None:
+            differing, rectangle = expected
+            assert merged == layout.pack(rectangle)
+            oriented = union_check(a, b, oriented=True)[0]
+            assert (oriented == ["b"]) == (
+                min(a[differing]) < min(b[differing])
+            )
 
 
 class TestIsComplete:
     def test_complete(self):
         required = {"a": frozenset({0, 1}), "b": frozenset({0})}
-        assert _is_complete(
-            {"a": frozenset({0, 1})}, required
-        )
-        assert not _is_complete({"a": frozenset({0})}, required)
+        layout = _CoverageLayout(["a", "b"], required)
+        only_a = 0b01  # alias bit mask of {"a"}
+        assert layout.pack({"a": {0, 1}}) == layout.target(only_a)
+        assert layout.pack({"a": {0}}) != layout.target(only_a)
+        assert layout.pack(required) == layout.target(0b11)
 
 
 class TestPlanGeneration:

@@ -30,6 +30,7 @@ from repro.optimizer.reference import (
 from repro.sql import column
 from repro.sql.expr import Comparison, Or
 from repro.trading import BuyerPlanGenerator, RequestForBids, SellerAgent
+from repro.trading.valuation import WeightedValuation
 from repro.workload import chain_query, star_query
 
 from tests.conftest import make_federation
@@ -215,16 +216,58 @@ def test_idp_byte_identical_to_reference(k, m):
 # ----------------------------------------------------------------------
 # Buyer plan-generation byte-identity over real seller offers.
 # ----------------------------------------------------------------------
-def _gather_offers(catalog, nodes, builder, query):
+def _gather_offers(catalog, nodes, builder, query, stale=False):
+    """Every seller's offers for *query*; with *stale*, seller ``i``
+    serves data of freshness ``1 - 0.1 i`` so freshness ranks entries."""
     rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
     offers = []
-    for node in nodes:
-        if node == "client":
-            continue
-        agent = SellerAgent(catalog.local(node), builder)
+    sellers = [node for node in nodes if node != "client"]
+    for i, node in enumerate(sellers):
+        freshness = 1.0 - 0.1 * i if stale else 1.0
+        agent = SellerAgent(catalog.local(node), builder, freshness=freshness)
         node_offers, _work = agent.prepare_offers(rfb)
         offers.extend(node_offers)
     return offers
+
+
+def _assert_same_generation(got, expected):
+    assert got.enumerated == expected.enumerated
+    assert len(got.candidates) == len(expected.candidates)
+    for g, e in zip(got.candidates, expected.candidates):
+        assert g.value.hex() == e.value.hex()
+        assert g.plan.explain() == e.plan.explain()
+        for name in ("total_time", "rows", "money", "freshness"):
+            assert getattr(g.properties, name).hex() == getattr(
+                e.properties, name
+            ).hex(), name
+    if expected.best is None:
+        assert got.best is None
+    else:
+        assert got.best.value == expected.best.value
+        assert got.best.plan.explain() == expected.best.plan.explain()
+
+
+#: (queries, generator keyword arguments, stale sellers).  The aggregate
+#: case ships exact partial aggregates, so FINAL entries and their
+#: unions are exercised; the weighted case ranks entries by money and
+#: freshness rather than time alone.
+BUYER_CASES = {
+    "spj": ((chain_query(3), chain_query(5), star_query(3)), {}, False),
+    "aggregate": (
+        (chain_query(1, aggregate=True), chain_query(3, aggregate=True)),
+        {},
+        False,
+    ),
+    "weighted": (
+        (chain_query(3), chain_query(4), star_query(3)),
+        {
+            "valuation": WeightedValuation(
+                money_weight=1.0, staleness_penalty=0.5
+            )
+        },
+        True,
+    ),
+}
 
 
 @pytest.mark.parametrize("mode", ["dp", "idp"])
@@ -232,18 +275,13 @@ def test_buyer_generate_byte_identical_to_reference(mode):
     catalog, nodes, _est, _model, builder = make_federation(
         nodes=6, n_relations=6
     )
-    for query in (chain_query(3), chain_query(5), star_query(3)):
-        offers = _gather_offers(catalog, nodes, builder, query)
-        generator = BuyerPlanGenerator(builder, "client", mode=mode)
-        got = generator.generate(query, offers)
-        expected = reference_buyer_generate(generator, query, offers)
-        assert got.enumerated == expected.enumerated
-        assert len(got.candidates) == len(expected.candidates)
-        for g, e in zip(got.candidates, expected.candidates):
-            assert g.value == e.value
-            assert g.plan.explain() == e.plan.explain()
-        if expected.best is None:
-            assert got.best is None
-        else:
-            assert got.best.value == expected.best.value
-            assert got.best.plan.explain() == expected.best.plan.explain()
+    for queries, kwargs, stale in BUYER_CASES.values():
+        for query in queries:
+            offers = _gather_offers(catalog, nodes, builder, query, stale)
+            generator = BuyerPlanGenerator(
+                builder, "client", mode=mode, **kwargs
+            )
+            _assert_same_generation(
+                generator.generate(query, offers),
+                reference_buyer_generate(generator, query, offers),
+            )
